@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .covariants import (bilinear_form_matrix, eight_covariants,
-                         first_order_map, k_matrix_6, kappa_map, t_map)
+                         first_order_map, k_matrix_6, kappa_map)
 from .exterior import AltTensor, GroupElement, slocc_apply, tuple_of
 from .invariants import (DELTA_DEGREES, J_DEGREES, delta_132, delta_24,
                          delta_48, delta_48_prime, dual_trivector,
@@ -387,7 +387,7 @@ def classify9_family(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE,
     scale = p.max_abs()
     # work with the integer-rescaled invariants: vanishing patterns are
     # scale-free and the discriminant polynomials stay in integer arithmetic
-    js_raw, lam = nine_js_scaled(p)
+    js_raw, lam, tm = nine_js_scaled(p)
     js = js_raw if lam == 1 else tuple(
         j / lam ** deg for j, deg in zip(js_raw, J_DEGREES))
     detail = {"J": js}
@@ -396,7 +396,7 @@ def classify9_family(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE,
     j_zero = tuple(invariant_is_zero(j, raw_scale, deg)
                    for j, deg in zip(js_raw, J_DEGREES))
     if compute_rank_t:
-        detail["rank_T"] = t_map(p).rank(tol)
+        detail["rank_T"] = rank(tm, tol)
     if all(j_zero):
         return ClassLabel(9, "family7", (True,) * 4, detail)
     deltas_raw = (delta_132(js_raw), delta_48(js_raw),

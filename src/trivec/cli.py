@@ -14,9 +14,9 @@ State file schema (version 1)::
     }
 
 In rational mode ``re``/``im`` are fraction strings ("p/q" or "p"); in float
-mode they are decimal strings.  Indices are 1-based and pairwise distinct;
-non-increasing triples are normalized by permutation sign on load and
-duplicate index sets are rejected.
+mode they are finite decimal strings.  Indices are 1-based integers (not
+booleans) and pairwise distinct; non-increasing triples are normalized by
+permutation sign on load and duplicate index sets are rejected.
 
 Exit codes: 0 classified, 2 input error, 3 unclassified.
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -62,9 +63,11 @@ def _parse_scalar(entry, mode, where):
             return GaussianRational(re, im)
         re = float(re_s)
         im = float(im_s)
-        return complex(re, im)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"{where}: bad scalar ({exc})") from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise CliError(f"{where}: scalar must be finite")
+    return complex(re, im)
 
 
 def _format_scalar(value, mode):
@@ -78,6 +81,8 @@ def _format_scalar(value, mode):
 
 def parse_state(doc) -> tuple:
     """(AltTensor, mode) from a state-file dict; raises CliError on bad input."""
+    if not isinstance(doc, dict):
+        raise CliError("document: must be a JSON object")
     if doc.get("format") != FORMAT_VERSION:
         raise CliError("format: expected version 1")
     dim = doc.get("dimension")
@@ -95,9 +100,11 @@ def parse_state(doc) -> tuple:
     terms = []
     for pos, entry in enumerate(amps):
         where = f"amplitudes[{pos}]"
+        if not isinstance(entry, dict):
+            raise CliError(f"{where}: must be an object")
         idx = entry.get("indices")
         if (not isinstance(idx, list) or len(idx) != 3
-                or any(not isinstance(i, int) for i in idx)):
+                or any(type(i) is not int for i in idx)):
             raise CliError(f"{where}.indices: need three integers")
         if any(not 1 <= i <= dim for i in idx):
             raise CliError(f"{where}.indices: out of range 1..{dim}")
@@ -282,14 +289,19 @@ def _load_psi(path, count, mode):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"input: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CliError("document: must be a JSON object")
     amps = doc.get("amplitudes")
     if not isinstance(amps, list) or len(amps) > count:
         raise CliError(f"amplitudes: expected at most {count} entries")
     psi = {}
     for pos, entry in enumerate(amps):
         where = f"amplitudes[{pos}]"
+        if not isinstance(entry, dict):
+            raise CliError(f"{where}: must be an object")
         idx = entry.get("indices")
-        if not isinstance(idx, list) or len(idx) != 3:
+        if (not isinstance(idx, list) or len(idx) != 3
+                or any(isinstance(i, bool) for i in idx)):
             raise CliError(f"{where}.indices: need three labels")
         key = tuple(idx)
         if key in psi:
@@ -375,8 +387,6 @@ def make_parser() -> argparse.ArgumentParser:
         prog="trivec",
         description="Classify pure three-fermion states (6..9 modes), "
                     "compute their invariants and occupation spectra.")
-    ap.add_argument("--json", action="store_true",
-                    help="emit JSON reports (always on; accepted for compatibility)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="classify a state file")

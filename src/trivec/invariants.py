@@ -26,13 +26,11 @@ from fractions import Fraction
 from .covariants import (dual_trivector, eight_covariants, k_matrix_6,
                          seven_covariants, t_matrix_rows, t_power_traces)
 from .exterior import AltTensor
-from .scalars import GaussianRational, is_exact, to_complex
-
-FLOAT_ZERO_EPS = 1e-8
+from .scalars import DEFAULT_TOLERANCE, GaussianRational, is_exact, to_complex
 
 
 def invariant_is_zero(value, state_scale: float, degree: int,
-                      eps: float = FLOAT_ZERO_EPS) -> bool:
+                      eps: float = DEFAULT_TOLERANCE.zero_epsilon) -> bool:
     """Zero test scaled by (max amplitude)^degree; exact when possible."""
     if is_exact(value):
         return not value
@@ -212,14 +210,14 @@ def _integer_rescale(p: AltTensor):
 
 
 def nine_js_scaled(p: AltTensor, check_identities: bool = True):
-    """((J12, J18, J24, J30) of the integer-rescaled state, rescale factor).
+    """((J12, J18, J24, J30), scale, T rows) of the integer-rescaled state.
 
     Exact states are rescaled to (Gaussian) integer coefficients first, so
     the matrix powers run on machine/big integers.  The invariants of the
     original state are the returned values divided by scale**degree; callers
-    that only need vanishing patterns can skip that division.  The
-    identities Tr T = Tr T^2 = Tr T^3 = 0 are verified on every call unless
-    disabled.
+    that only need vanishing patterns can skip that division.  The 84 x 84
+    rows are T(scale P) = scale^3 T(P), so their rank is the rank of T(P).  The identities Tr T = Tr T^2 = Tr T^3 = 0
+    are verified on every call unless disabled.
     """
     if p.dim != 9 or p.degree != 3:
         raise ValueError("nine_js expects a three-form in nine dimensions")
@@ -252,12 +250,12 @@ def nine_js_scaled(p: AltTensor, check_identities: bool = True):
         else:
             val = sign * tr / den
         out.append(val)
-    return tuple(out), scale
+    return tuple(out), scale, tm
 
 
 def nine_js(p: AltTensor, check_identities: bool = True):
     """The four trace invariants (J12, J18, J24, J30)."""
-    js, scale = nine_js_scaled(p, check_identities)
+    js, scale, _ = nine_js_scaled(p, check_identities)
     if scale == 1:
         return js
     return tuple(j / scale ** deg for j, deg in zip(js, J_DEGREES))

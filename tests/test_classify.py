@@ -8,9 +8,16 @@ from trivec.classify import (TABLE1, TABLE2, TABLE3, classify, classify6,
                              classify9_family, is_separable,
                              leclerc_residuals, plucker_residuals,
                              support_reduction)
+import trivec.covariants
+import trivec.invariants
+from trivec.cli import parse_state, state_document
 from trivec.exterior import (AltTensor, canonical_state, embed_three_qutrits,
                              slocc_apply)
+from trivec.invariants import J_DEGREES, nine_js
 from trivec.oracle import random_invertible, random_state
+from trivec.scalars import GaussianRational
+
+from test_acceptance import FAMILY_RANK_T, FAMILY_SAMPLES
 
 
 def e(dim, *idx):
@@ -108,6 +115,41 @@ def test_classify9_families():
         out = classify9_family(canonical_state(9, f"family{fam}", ps),
                                compute_rank_t=False)
         assert out.label == f"family{fam}"
+
+
+def test_classify9_rational_state_matches_its_integer_rescale():
+    # the parser stores non-integer rationals as GaussianRational with a zero
+    # imaginary part; label, rank T and scaled invariants must not change
+    for fam, params in FAMILY_SAMPLES.items():
+        p = canonical_state(9, f"family{fam}", params)
+        doc = state_document(p.scale(Fraction(1, 3)), "rational")
+        q, _ = parse_state(doc)
+        gauss = [v for v in q.masks().values()
+                 if isinstance(v, GaussianRational)]
+        assert gauss and not any(v.im for v in gauss), fam
+        out = classify(q)
+        assert out.label == f"family{fam}"
+        assert out.detail["rank_T"] == FAMILY_RANK_T[fam], fam
+        for j_q, j_p, deg in zip(out.detail["J"], nine_js(p), J_DEGREES):
+            assert j_q == Fraction(j_p, 3 ** deg), (fam, deg)
+
+
+def test_classify9_builds_t_once(monkeypatch):
+    calls = []
+    build = trivec.covariants.t_matrix_rows
+
+    def counted(p):
+        calls.append(p)
+        return build(p)
+
+    monkeypatch.setattr(trivec.invariants, "t_matrix_rows", counted)
+    monkeypatch.setattr(trivec.covariants, "t_matrix_rows", counted)
+    for fam in (1, 6):
+        p = canonical_state(9, f"family{fam}", FAMILY_SAMPLES[fam])
+        calls.clear()
+        out = classify9_family(p, compute_rank_t=True)
+        assert out.detail["rank_T"] == FAMILY_RANK_T[fam]
+        assert len(calls) == 1
 
 
 def test_classify9_generic_qutrit_lands_in_family2():

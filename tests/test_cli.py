@@ -61,6 +61,56 @@ def test_classify_rejects_duplicate_set(tmp_path, capsys):
     assert "duplicate" in err
 
 
+def test_classify_rejects_top_level_list(tmp_path, capsys):
+    path = write_state(tmp_path, "list.json", [ghz_doc()])
+    code, _, err = run_cli(capsys, "classify", "--input", path)
+    assert code == 2
+    assert "document: must be a JSON object" in err
+
+
+def test_classify_rejects_non_object_amplitude(tmp_path, capsys):
+    doc = ghz_doc()
+    doc["amplitudes"][1] = [4, 5, 6]
+    path = write_state(tmp_path, "entry.json", doc)
+    code, _, err = run_cli(capsys, "classify", "--input", path)
+    assert code == 2
+    assert "amplitudes[1]: must be an object" in err
+
+
+def test_classify_rejects_boolean_index(tmp_path, capsys):
+    doc = ghz_doc()
+    doc["amplitudes"][0]["indices"] = [True, 2, 3]
+    path = write_state(tmp_path, "bool.json", doc)
+    code, _, err = run_cli(capsys, "classify", "--input", path)
+    assert code == 2
+    assert "amplitudes[0].indices" in err
+
+
+def test_classify_rejects_non_finite_float(tmp_path, capsys):
+    for part, text in (("re", "nan"), ("im", "inf"), ("re", "-inf")):
+        doc = ghz_doc()
+        doc["scalar_mode"] = "float"
+        doc["amplitudes"][1][part] = text
+        path = write_state(tmp_path, "nonfinite.json", doc)
+        code, _, err = run_cli(capsys, "classify", "--input", path)
+        assert code == 2, text
+        assert "amplitudes[1]" in err
+
+
+def test_embed_rejects_malformed_documents(tmp_path, capsys):
+    entry = {"indices": [0, 0, 0], "re": "1", "im": "0"}
+    for doc, field in (([entry], "document: must be a JSON object"),
+                       ({"amplitudes": [[0, 0, 0]]},
+                        "amplitudes[0]: must be an object"),
+                       ({"amplitudes": [dict(entry, indices=[True, 0, 0])]},
+                        "amplitudes[0].indices")):
+        path = write_state(tmp_path, "psi.json", doc)
+        code, _, err = run_cli(capsys, "embed", "--type", "qubit3",
+                               "--input", path)
+        assert code == 2
+        assert field in err
+
+
 def test_nonincreasing_indices_normalized():
     doc = ghz_doc()
     doc["amplitudes"][0]["indices"] = [3, 2, 1]
