@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .covariants import (bilinear_form_matrix, eight_covariants,
                          first_order_map, k_matrix_6, kappa_map)
@@ -23,7 +22,7 @@ from .invariants import (DELTA_DEGREES, J_DEGREES, delta_132, delta_24,
                          invariant_is_zero, nine_js_scaled, quartic_d,
                          _integer_rescale)
 from .scalars import (DEFAULT_TOLERANCE, TolerancePolicy, imag_part, rank,
-                      real_part, to_complex)
+                      real_part, row_reduce, to_complex)
 
 
 @dataclass
@@ -152,7 +151,8 @@ def is_separable(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool
     if p.is_zero():
         return True
     scale = p.max_abs()
-    return all(invariant_is_zero(v, scale, 2) for _, v in plucker_residuals(p))
+    return all(invariant_is_zero(v, scale, 2, tol.zero_epsilon)
+               for _, v in plucker_residuals(p))
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +174,12 @@ def classify6(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
     """
     _check(p, 6)
     scale = p.max_abs()
+    eps = tol.zero_epsilon
     d = quartic_d(p)
-    if not invariant_is_zero(d, scale, 4):
+    if not invariant_is_zero(d, scale, 4, eps):
         chain = "GHZ"
-    elif _float_nonzero_tensor(dual_trivector(p), scale, 3):
+    elif not all(invariant_is_zero(v, scale, 3, eps)
+                 for v in dual_trivector(p).masks().values()):
         chain = "W"
     elif not is_separable(p, tol):
         chain = "Bisep"
@@ -199,13 +201,6 @@ def _float_zero_tensor(p, scale, eps=1e-12):
     if p.mode != "float":
         return p.is_zero()
     return all(abs(v) <= eps * max(scale, 1e-300) for v in p.masks().values())
-
-
-def _float_nonzero_tensor(p, scale, degree):
-    if p.mode != "float":
-        return not p.is_zero()
-    cut = 1e-8 * max(scale, 1e-300) ** degree
-    return any(abs(v) > cut for v in p.masks().values())
 
 
 def classify6_real(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:
@@ -272,51 +267,20 @@ def support_reduction(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE):
     into the span of the first ``rank`` indices.
     """
     n = p.dim
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    rows = []
-    for (a, b) in pairs:
-        rows.append([p.component((i, a, b)) for i in range(1, n + 1)])
-    exact = p.mode != "float"
-    if exact:
-        m = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
-    else:
-        m = [[to_complex(x) for x in row] for row in rows]
-    nr, nc = len(m), n
-    piv_cols = []
-    r = 0
-    for c in range(nc):
-        piv = None
-        if exact:
-            for i in range(r, nr):
-                if m[i][c]:
-                    piv = i
-                    break
-        else:
-            cand = max(range(r, nr), key=lambda i: abs(m[i][c]), default=None)
-            if cand is not None and abs(m[cand][c]) > tol.absolute_floor:
-                piv = cand
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(nc) if c not in piv_cols]
+    rows = [[p.component((i, a, b)) for i in range(1, n + 1)]
+            for a, b in itertools.combinations(range(1, n + 1), 2)]
+    m, piv_cols, _ = row_reduce(rows, tol.absolute_floor)
+    free = [c for c in range(n) if c not in piv_cols]
     kernel = []
     for fc in free:
-        vec = [0] * nc
+        vec = [0] * n
         vec[fc] = 1
         for i, pc in enumerate(piv_cols):
             vec[pc] = -m[i][fc]
         kernel.append(vec)
     cols = []
     for pc in piv_cols:
-        e = [0] * nc
+        e = [0] * n
         e[pc] = 1
         cols.append(e)
     cols.extend(kernel)
@@ -393,7 +357,7 @@ def classify9_family(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE,
     detail = {"J": js}
     exact = p.mode != "float"
     raw_scale = scale * lam
-    j_zero = tuple(invariant_is_zero(j, raw_scale, deg)
+    j_zero = tuple(invariant_is_zero(j, raw_scale, deg, tol.zero_epsilon)
                    for j, deg in zip(js_raw, J_DEGREES))
     if compute_rank_t:
         detail["rank_T"] = rank(tm, tol)
@@ -403,7 +367,7 @@ def classify9_family(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE,
                   delta_48_prime(js_raw), delta_24(js_raw))
     detail["deltas"] = deltas_raw if lam == 1 else tuple(
         dv / lam ** deg for dv, deg in zip(deltas_raw, DELTA_DEGREES))
-    pattern = tuple(invariant_is_zero(dv, raw_scale, deg)
+    pattern = tuple(invariant_is_zero(dv, raw_scale, deg, tol.zero_epsilon)
                     for dv, deg in zip(deltas_raw, DELTA_DEGREES))
     if not exact:
         detail["delta132_confidence"] = "low"

@@ -33,9 +33,9 @@ from . import __version__
 from .classify import classify
 from .exterior import (AltTensor, canonical_state, embed_three_qubits,
                        embed_three_qutrits, slocc_apply, sort_indices)
-from .invariants import (J_DEGREES, eight_i, invariant_is_zero, nine_js,
+from .invariants import (J_DEGREES, eight_i, invariant_is_zero,
                          qutrit_normal_form_coefficients,
-                         qutrit_normal_invariants, quartic_d, seven_j)
+                         qutrit_normal_invariants, seven_j)
 from .oracle import random_invertible, random_state, selfcheck
 from .scalars import GaussianRational, imag_part, to_complex
 from .spectra import occupation_spectrum, pinning_analysis
@@ -186,27 +186,27 @@ def build_report(p: AltTensor, mode: str, real: bool = False) -> dict:
     }
     inv = report["invariants"]
     if p.dim == 6:
-        inv["quartic_d"] = _value_field(quartic_d(p), mode, 4, scale)
+        inv["quartic_d"] = _value_field(label.detail["quartic_d"], mode, 4, scale)
     elif p.dim == 7:
         inv["seven_j"] = _value_field(seven_j(p), mode, 7, scale)
     elif p.dim == 8:
         inv["eight_i"] = _value_field(eight_i(p), mode, 16, scale)
     else:
-        js = label.detail.get("J") or nine_js(p)
-        for name, val, deg in zip(("J12", "J18", "J24", "J30"), js, J_DEGREES):
+        for name, val, deg in zip(("J12", "J18", "J24", "J30"),
+                                  label.detail["J"], J_DEGREES):
             inv[name] = _value_field(val, mode, deg, scale)
         deltas = label.detail.get("deltas")
         if deltas is not None:
             for name, val, deg in zip(("Delta132", "Delta48", "Delta48p", "Delta24"),
                                       deltas, (132, 48, 48, 24)):
                 inv[name] = _value_field(val, mode, deg, scale)
-                if name == "Delta132" and mode == "float":
-                    inv[name]["confidence"] = "low"
+            if "delta132_confidence" in label.detail:
+                inv["Delta132"]["confidence"] = label.detail["delta132_confidence"]
         if "rank_T" in label.detail:
             report["classification"]["rank_T"] = label.detail["rank_T"]
     if p.dim in (6, 7) and not p.is_zero():
         spec = occupation_spectrum(p)
-        pin = pinning_analysis(p)
+        pin = pinning_analysis(p, label.label)
         report["spectrum"] = {
             "occupations_descending": [float(x) for x in spec.eigenvalues],
             "constraints": pin["constraints"],
@@ -359,7 +359,7 @@ def cmd_rdm(args) -> int:
         "occupations_descending": [float(x) for x in spec.eigenvalues],
     }
     if p.dim in (6, 7):
-        pin = pinning_analysis(p)
+        pin = pinning_analysis(p, classify(p).label)
         report["constraints"] = pin["constraints"]
         report["pinning"] = {
             "support_pattern": pin["support_pattern"],

@@ -26,7 +26,7 @@ import itertools
 from fractions import Fraction
 
 from .scalars import (GaussianRational, abs_sq, conjugate, is_exact,
-                      to_complex)
+                      row_reduce, to_complex)
 
 
 def mask_of(indices) -> int:
@@ -370,38 +370,13 @@ def symplectic_pairing(p: AltTensor, q: AltTensor):
 
 
 def _invert_transpose(matrix):
-    """Inverse transpose by Gauss-Jordan; exact over exact scalars."""
+    """Inverse transpose by Gauss-Jordan on [A | I]; exact over exact scalars."""
     n = len(matrix)
-    exact = all(is_exact(x) for row in matrix for x in row)
-    if exact:
-        a = [[Fraction(x) if isinstance(x, int) else x for x in row] +
-             [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    else:
-        a = [[to_complex(x) for x in row] +
-             [complex(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = None
-        if exact:
-            for i in range(col, n):
-                if a[i][col]:
-                    piv = i
-                    break
-        else:
-            piv = max(range(col, n), key=lambda i: abs(a[i][col]))
-            if abs(a[piv][col]) == 0.0:
-                piv = None
-        if piv is None:
-            raise ValueError("singular matrix has no inverse")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    inv = [row[n:] for row in a]
-    return [[inv[j][i] for j in range(n)] for i in range(n)]
+    rows, pivots, _ = row_reduce([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(matrix)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix has no inverse")
+    return [[rows[j][n + i] for j in range(n)] for i in range(n)]
 
 
 class GroupElement:

@@ -12,8 +12,10 @@ with :func:`to_complex`.
 
 The matrix kernels operate on rectangular lists of row lists.  In exact mode
 rank and determinant use fraction-free (Bareiss) elimination, so results are
-bit-exact; in float mode rank counts singular values against a
-:class:`TolerancePolicy` and eigenvalues come from cyclic Jacobi sweeps.
+bit-exact; every other elimination (inverses, kernels, float determinants)
+is the one Gauss-Jordan kernel :func:`row_reduce`.  In float mode rank counts
+singular values against a :class:`TolerancePolicy` and eigenvalues come from
+cyclic Jacobi sweeps.
 """
 
 from __future__ import annotations
@@ -274,6 +276,52 @@ def _bareiss(m):
     return rank, prev, swaps
 
 
+def row_reduce(m, floor: float = 0.0):
+    """Gauss-Jordan elimination to reduced row echelon form.
+
+    Returns ``(rows, pivot_columns, det)``: the reduced rows, the column of
+    each pivot in order, and the product of the pivots signed by the parity
+    of the row swaps (the determinant when the matrix is square and of full
+    rank).  Exact matrices are reduced over the rationals, with ``int``
+    entries promoted to ``Fraction``, and pivot on the first nonzero entry of
+    a column.  Float matrices are reduced in complex arithmetic and pivot on
+    the entry of largest modulus, which must exceed ``floor``.
+    """
+    nr, nc = _check_rect(m)
+    exact = matrix_is_exact(m)
+    if exact:
+        a = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in m]
+    else:
+        a = [[to_complex(x) for x in row] for row in m]
+    pivots = []
+    det = 1
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        if exact:
+            piv = next((i for i in range(r, nr) if a[i][c]), None)
+        else:
+            piv = max(range(r, nr), key=lambda i: abs(a[i][c]))
+            if not abs(a[piv][c]) > floor:
+                piv = None
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        pv = a[r][c]
+        det = det * pv
+        a[r] = [x / pv for x in a[r]]
+        for i in range(nr):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots, det
+
+
 def _singular_values(m):
     """(singular values, noise floor): Gram-eigenvalue route.
 
@@ -314,7 +362,7 @@ def rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
 
 
 def determinant(m):
-    """Determinant of a square matrix (exact Bareiss or float LU)."""
+    """Determinant of a square matrix (exact Bareiss or float Gauss-Jordan)."""
     nr, nc = _check_rect(m)
     if nr != nc:
         raise ValueError("determinant requires a square matrix")
@@ -325,22 +373,8 @@ def determinant(m):
         if r < nr:
             return 0 * m[0][0]
         return -det if swaps % 2 else det
-    a = [[to_complex(x) for x in row] for row in m]
-    det = 1.0 + 0j
-    for col in range(nr):
-        piv = max(range(col, nr), key=lambda i: abs(a[i][col]))
-        if abs(a[piv][col]) == 0.0:
-            return 0j
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1.0 / a[col][col]
-        for i in range(col + 1, nr):
-            f = a[i][col] * inv
-            if f != 0:
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
+    _, pivots, det = row_reduce(m)
+    return det if len(pivots) == nr else 0j
 
 
 def _antisymmetry_defect(m):

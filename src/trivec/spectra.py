@@ -144,21 +144,21 @@ def _support_pattern(rotated: AltTensor):
     return {t for t, v in rotated.terms() if abs(to_complex(v)) > cut}
 
 
-def pinning_analysis(p: AltTensor, eps: float = SATURATION_EPS) -> dict:
+def pinning_analysis(p: AltTensor, label: str, eps: float = SATURATION_EPS) -> dict:
     """Saturations, natural-orbital support pattern and class compatibility.
 
+    ``label`` is the state's class label as the caller already computed it
+    (``classify(p).label``; the real labels GHZ+ and GHZ- are accepted too).
     Rotates the state to its natural-orbital basis, reports which canonical
     pinned support pattern the rotation matches, and checks the saturation
     flags against the classes where pinning is impossible.  An inconsistency
     marks the report rather than guessing.
     """
-    from .classify import classify6, classify7
     if p.dim not in (6, 7):
         raise ValueError("pinning analysis covers dimensions 6 and 7")
     rotated, spectrum = natural_orbital_transform(p)
     constraints = klyachko_check(spectrum, eps)
     support = _support_pattern(rotated)
-    label = (classify6(p) if p.dim == 6 else classify7(p)).label
 
     pattern = None
     if p.dim == 6 and support <= _PATTERN_BD:

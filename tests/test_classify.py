@@ -15,7 +15,7 @@ from trivec.exterior import (AltTensor, canonical_state, embed_three_qutrits,
                              slocc_apply)
 from trivec.invariants import J_DEGREES, nine_js
 from trivec.oracle import random_invertible, random_state
-from trivec.scalars import GaussianRational
+from trivec.scalars import GaussianRational, TolerancePolicy
 
 from test_acceptance import FAMILY_RANK_T, FAMILY_SAMPLES
 
@@ -151,6 +151,25 @@ def test_classify9_builds_t_once(monkeypatch):
         assert out.detail["rank_T"] == FAMILY_RANK_T[fam]
         assert len(calls) == 1
 
+
+
+def test_zero_epsilon_of_the_policy_is_honored():
+    loose = TolerancePolicy(zero_epsilon=1e3)
+    ghz = canonical_state(6, "GHZ").to_float()
+    assert classify6(ghz).label == "GHZ"
+    out = classify6(ghz, loose)
+    # D, the dual trivector and every Pluecker residual read zero, so the
+    # chain says Sep while the rank triple still says GHZ
+    assert out.label == "Unclassified"
+    assert out.detail["chain_label"] == "Sep"
+    bisep = canonical_state(6, "Bisep").to_float()
+    assert not is_separable(bisep)
+    assert is_separable(bisep, loose)
+    f1 = canonical_state(9, "family1", (1, 2, 4, 8)).to_float()
+    assert classify9_family(f1, compute_rank_t=False).label == "family1"
+    out = classify9_family(f1, TolerancePolicy(zero_epsilon=1e12),
+                           compute_rank_t=False)
+    assert out.label == "family7"
 
 def test_classify9_generic_qutrit_lands_in_family2():
     rng = random.Random(61)

@@ -1,7 +1,17 @@
+import importlib
 import json
+from collections import Counter
 
-from trivec.cli import main, parse_state, state_document
-from trivec.exterior import canonical_state
+import pytest
+
+import trivec.cli
+from trivec.classify import classify
+from trivec.cli import build_report, main, parse_state, state_document
+from trivec.exterior import canonical_state, slocc_apply
+from trivec.oracle import random_invertible
+
+# the package exports the function ``classify``, which shadows the module name
+classify_module = importlib.import_module("trivec.classify")
 
 
 def run_cli(capsys, *argv):
@@ -256,3 +266,48 @@ def test_mode_mismatch(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", "--input", path,
                            "--mode", "float")
     assert code == 2
+
+
+def _moved(dim, label):
+    return slocc_apply(random_invertible(dim, 5), canonical_state(dim, label))
+
+
+@pytest.mark.parametrize("dim,label,real", [
+    (6, "GHZ", False), (6, "GHZ", True), (6, "W", False), (7, "VII", False),
+    (7, "X", False)])
+@pytest.mark.parametrize("to_float", [False, True])
+def test_build_report_classifies_once(monkeypatch, dim, label, real, to_float):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("classify6", "classify7", "quartic_d"):
+        monkeypatch.setattr(classify_module, name,
+                            counted(name, getattr(classify_module, name)))
+    # a report must not evaluate D again through the CLI's own namespace
+    monkeypatch.setattr(trivec.cli, "quartic_d",
+                        counted("quartic_d", classify_module.quartic_d),
+                        raising=False)
+    p = _moved(dim, label)
+    if to_float:
+        p = p.to_float()
+    report = build_report(p, "float" if to_float else "rational", real=real)
+    assert report["spectrum"] is not None
+    assert calls[f"classify{dim}"] == 1
+    assert calls["classify6" if dim == 7 else "classify7"] == 0
+    assert calls["quartic_d"] == (1 if dim == 6 else 0)
+
+
+def test_rdm_pinning_label_is_the_class_label(tmp_path, capsys):
+    for dim, label in ((6, "W"), (7, "VII"), (7, "X")):
+        p = _moved(dim, label)
+        path = write_state(tmp_path, f"s{dim}{label}.json",
+                           state_document(p, "rational"))
+        code, out, _ = run_cli(capsys, "rdm", "--input", path)
+        assert code == 0
+        pinning = json.loads(out)["pinning"]
+        assert pinning["class_label"] == classify(p).label == label

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from trivec.exterior import GroupElement
+from trivec.oracle import random_invertible
 from trivec.scalars import (GaussianRational, TolerancePolicy, determinant,
                             hermitian_eigensystem, hermitian_eigenvalues,
-                            pfaffian, rank)
+                            pfaffian, rank, row_reduce)
 
 
 def test_gaussian_rational_basic_arithmetic():
@@ -116,6 +118,18 @@ def test_determinant_matches_permutation_expansion():
         assert determinant(m) == brute
 
 
+
+def test_float_determinant_agrees_with_exact():
+    rng = random.Random(6)
+    for _ in range(10):
+        n = rng.randint(2, 7)
+        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+             for _ in range(n)]
+        exact = determinant(m)
+        approx = determinant([[float(x) for x in row] for row in m])
+        assert abs(approx - complex(exact)) <= 1e-12 * max(abs(exact), 1)
+    assert determinant([[1.0, 2.0], [2.0, 4.0]]) == 0
+
 def _parity(perm):
     inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
               if perm[i] > perm[j])
@@ -194,3 +208,53 @@ def test_hermitian_eigensystem_reconstructs_matrix():
                 got = sum(vecs[i][k] * vals[k] * vecs[j][k].conjugate()
                           for k in range(n))
                 assert got == pytest.approx(h[i][j], abs=1e-10)
+
+
+def _times_transpose(a, b):
+    """a^T b, the identity when b is the inverse transpose of a."""
+    n = len(a)
+    return [[sum(a[k][i] * b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def test_exact_inverse_transpose_is_exact():
+    for n in range(6, 10):
+        g = random_invertible(n, 11 + n)
+        ident = _times_transpose(g.matrix, g.inverse_transpose)
+        assert ident == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_complex_inverse_transpose():
+    rng = random.Random(7)
+    for n in (2, 6, 9):
+        m = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+             for _ in range(n)]
+        ident = _times_transpose(m, GroupElement(m).inverse_transpose)
+        for i in range(n):
+            for j in range(n):
+                assert abs(ident[i][j] - (i == j)) <= 1e-12
+
+
+def test_singular_group_element_is_rejected():
+    for m in ([[1, 2, 3], [2, 4, 6], [0, 1, 1]],
+              [[Fraction(1, 2), 1], [1, 2]],
+              [[1.0, 2.0], [2.0, 4.0]],
+              [[1j, 0.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            GroupElement(m)
+
+
+def test_row_reduce_pivots_and_floor():
+    m = [[0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 5]]
+    rows, pivots, _ = row_reduce(m)
+    assert pivots == [1, 3]
+    assert rows == [[0, 1, 2, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+    assert all(isinstance(x, Fraction) for row in rows for x in row)
+    rows_f, pivots_f, _ = row_reduce([[float(x) for x in row] for row in m])
+    assert pivots_f == pivots
+    assert all(abs(x - y) <= 1e-15 for rf, r in zip(rows_f, rows)
+               for x, y in zip(rf, r))
+    # a float pivot at or below the floor is not taken
+    assert row_reduce([[1.0, 0.0], [0.0, 1e-14]], floor=1e-13)[1] == [0]
+    _, _, det = row_reduce([[0, 2], [3, 1]])
+    assert det == -6

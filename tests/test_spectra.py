@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from trivec.classify import classify6, classify7
+from trivec.classify import classify, classify6, classify7
 from trivec.exterior import AltTensor, canonical_state, slocc_apply
 from trivec.invariants import quartic_d
 from trivec.oracle import random_complex_state, random_rational_state
@@ -150,7 +150,7 @@ def test_pinning_analysis_pinned_state():
     rng = random.Random(75)
     al, be, ga = _sorted_pinned_coeffs(rng)
     p = _pinned6(complex(al), complex(be), complex(ga))
-    report = pinning_analysis(p)
+    report = pinning_analysis(p, classify(p).label)
     assert report["constraints"][0]["saturated"]
     assert report["support_pattern"] == "borland_dennis_pinned"
     assert report["class_label"] in ("W", "Bisep", "Sep", "Null")
@@ -159,7 +159,7 @@ def test_pinning_analysis_pinned_state():
 
 def test_pinning_analysis_ghz_not_saturated():
     p = (e(6, 1, 2, 3) + e(6, 4, 5, 6)).to_float()
-    report = pinning_analysis(p)
+    report = pinning_analysis(p, classify(p).label)
     assert not report["constraints"][0]["saturated"]
     assert report["class_label"] == "GHZ"
     assert report["consistent"]
@@ -170,7 +170,7 @@ def test_pinning_analysis_seven_totally_pinned():
     # al^2 >= be^2 + de^2 and be^2 >= ga^2 + de^2
     p = (e(7, 1, 2, 3).scale(0.8 + 0j) + e(7, 1, 4, 5).scale(0.6 + 0j)
          + e(7, 1, 6, 7).scale(0.4 + 0j) + e(7, 2, 4, 6).scale(0.2 + 0j))
-    report = pinning_analysis(p)
+    report = pinning_analysis(p, classify(p).label)
     sat = [c["saturated"] for c in report["constraints"]]
     assert sat == [True, True, False, True]
     assert report["support_pattern"] == "totally_pinned"
