@@ -285,11 +285,9 @@ def support_reduction(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE):
         cols.append(e)
     cols.extend(kernel)
     # columns of h are (pivot axes | kernel basis); the state moved by h^-1
-    # is supported on the leading pivot block, and h^-1 is the inverse
-    # transpose of h^T
-    ht = [list(col) for col in cols]
-    g_inv = GroupElement(GroupElement(ht).inverse_transpose)
-    return g_inv, len(piv_cols)
+    # is supported on the leading pivot block, and h^T is the inverse
+    # transpose of h^-1
+    return GroupElement.from_inverse_transpose(cols), len(piv_cols)
 
 
 def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:

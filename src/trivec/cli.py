@@ -153,19 +153,58 @@ def emit(doc, stream=None):
 # report assembly
 
 
-def _value_field(value, mode, degree, scale):
-    re_s, im_s = _format_scalar(value, mode)
-    field = {"re": re_s, "im": im_s, "degree": degree}
+# the highest degree, in the amplitudes, of an invariant a report evaluates
+_TOP_DEGREE = {6: 4, 7: 7, 8: 16, 9: 132}
+# a float state is prescaled when its largest amplitude raised to that degree
+# leaves 2^+-512; the other half of the double range is headroom for the
+# combinatorial size of the invariants
+_RANGE_BITS = 512
+
+
+def _ldexp(z, k):
+    """z * 2^k for a complex z, saturating to infinity past the double range."""
+    def part(x):
+        try:
+            return math.ldexp(x, k)
+        except OverflowError:
+            return math.copysign(math.inf, x)
+    return complex(part(z.real), part(z.imag))
+
+
+def _prescale(p: AltTensor, mode: str) -> tuple:
+    """(state, e): a float state far from unit size comes back times 2^-e.
+
+    Scaling by a power of two is exact and commutes with every float
+    operation short of overflow and underflow, so labels, spectra and the
+    invariants (scaled back by 2^(e degree)) are those of the input.  States
+    the double range can hold are returned as they are, with e = 0.
+    """
+    if mode != "float" or p.is_zero():
+        return p, 0
+    top = max(max(abs(v.real), abs(v.imag)) for v in p.masks().values())
+    e = math.frexp(top)[1]
+    if abs(e) * _TOP_DEGREE[p.dim] <= _RANGE_BITS:
+        return p, 0
+    return AltTensor(p.dim, 3, {m: _ldexp(v, -e) for m, v in p.masks().items()}), e
+
+
+def _value_field(value, mode, degree, scale, e=0):
+    """Report field of an invariant of a state prescaled by 2^-e."""
+    field = {"degree": degree}
     if mode == "float":
         field["zero"] = invariant_is_zero(value, scale, degree)
+        if e:
+            value = _ldexp(value, e * degree)
     else:
         field["zero"] = not value
+    field["re"], field["im"] = _format_scalar(value, mode)
     return field
 
 
 def build_report(p: AltTensor, mode: str, real: bool = False) -> dict:
-    scale = p.max_abs()
-    label = classify(p, real_mode=real)
+    q, e = _prescale(p, mode)
+    scale = q.max_abs()
+    label = classify(q, real_mode=real)
     report = {
         "format": FORMAT_VERSION,
         "tool": {"name": "trivec", "version": __version__},
@@ -174,7 +213,8 @@ def build_report(p: AltTensor, mode: str, real: bool = False) -> dict:
             "dimension": p.dim,
             "degree": 3,
             "amplitude_count": len(p.masks()),
-            "norm_sq": _format_scalar(p.norm_sq(), mode)[0],
+            "norm_sq": _format_scalar(_ldexp(q.norm_sq(), 2 * e) if e
+                                      else p.norm_sq(), mode)[0],
         },
         "classification": {
             "dimension": p.dim,
@@ -186,27 +226,27 @@ def build_report(p: AltTensor, mode: str, real: bool = False) -> dict:
     }
     inv = report["invariants"]
     if p.dim == 6:
-        inv["quartic_d"] = _value_field(label.detail["quartic_d"], mode, 4, scale)
+        inv["quartic_d"] = _value_field(label.detail["quartic_d"], mode, 4, scale, e)
     elif p.dim == 7:
-        inv["seven_j"] = _value_field(seven_j(p), mode, 7, scale)
+        inv["seven_j"] = _value_field(seven_j(q), mode, 7, scale, e)
     elif p.dim == 8:
-        inv["eight_i"] = _value_field(eight_i(p), mode, 16, scale)
+        inv["eight_i"] = _value_field(eight_i(q), mode, 16, scale, e)
     else:
         for name, val, deg in zip(("J12", "J18", "J24", "J30"),
                                   label.detail["J"], J_DEGREES):
-            inv[name] = _value_field(val, mode, deg, scale)
+            inv[name] = _value_field(val, mode, deg, scale, e)
         deltas = label.detail.get("deltas")
         if deltas is not None:
             for name, val, deg in zip(("Delta132", "Delta48", "Delta48p", "Delta24"),
                                       deltas, (132, 48, 48, 24)):
-                inv[name] = _value_field(val, mode, deg, scale)
+                inv[name] = _value_field(val, mode, deg, scale, e)
             if "delta132_confidence" in label.detail:
                 inv["Delta132"]["confidence"] = label.detail["delta132_confidence"]
         if "rank_T" in label.detail:
             report["classification"]["rank_T"] = label.detail["rank_T"]
     if p.dim in (6, 7) and not p.is_zero():
-        spec = occupation_spectrum(p)
-        pin = pinning_analysis(p, label.label)
+        spec = occupation_spectrum(q)
+        pin = pinning_analysis(q, label.label)
         report["spectrum"] = {
             "occupations_descending": [float(x) for x in spec.eigenvalues],
             "constraints": pin["constraints"],
@@ -351,6 +391,7 @@ def cmd_rdm(args) -> int:
     p, mode = load_state(args.input)
     if p.is_zero():
         raise CliError("amplitudes: zero state has no density matrix")
+    p, _ = _prescale(p, mode)
     spec = occupation_spectrum(p)
     report = {
         "format": FORMAT_VERSION,

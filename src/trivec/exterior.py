@@ -396,6 +396,22 @@ class GroupElement:
         self.inverse_transpose = _invert_transpose(self.matrix)
 
     @classmethod
+    def from_inverse_transpose(cls, it) -> "GroupElement":
+        """The element whose inverse transpose is ``it``, by one inversion.
+
+        ``it`` is kept as given, so the element acts through exactly that
+        matrix in float mode too.
+        """
+        from .scalars import determinant as _det
+        g = cls.__new__(cls)
+        g.dim = len(it)
+        g.inverse_transpose = [list(row) for row in it]
+        # inverse transposition is an involution
+        g.matrix = _invert_transpose(g.inverse_transpose)
+        g.det = _det(g.matrix)
+        return g
+
+    @classmethod
     def identity(cls, dim: int) -> "GroupElement":
         return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
 

@@ -14,13 +14,16 @@ The matrix kernels operate on rectangular lists of row lists.  In exact mode
 rank and determinant use fraction-free (Bareiss) elimination, so results are
 bit-exact; every other elimination (inverses, kernels, float determinants)
 is the one Gauss-Jordan kernel :func:`row_reduce`.  In float mode rank counts
-singular values against a :class:`TolerancePolicy` and eigenvalues come from
-cyclic Jacobi sweeps.
+the diagonal of a Householder QR with column pivoting, taken directly on the
+complex entries, against a :class:`TolerancePolicy`; Hermitian eigenvalues
+come from cyclic Jacobi sweeps.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -191,10 +194,12 @@ def imag_part(x):
 class TolerancePolicy:
     """Float-mode thresholds; ignored entirely in exact mode.
 
-    Rank keeps singular values above
-    ``max(relative_rank_epsilon * sigma_max, absolute_floor)``.  Zero tests
-    on invariant values scale ``zero_epsilon`` by the maximum input amplitude
-    raised to the invariant's homogeneous degree.
+    Rank counts the diagonal entries |R_kk| of a column-pivoted QR above
+    ``max(relative_rank_epsilon * |R_11|, absolute_floor, noise)``, where
+    the noise floor ``16 max(rows, cols) eps |R_11|`` bounds the backward
+    error of the factorization.  Zero tests on invariant values scale
+    ``zero_epsilon`` by the maximum input amplitude raised to the
+    invariant's homogeneous degree.
     """
 
     relative_rank_epsilon: float = 1e-10
@@ -322,27 +327,83 @@ def row_reduce(m, floor: float = 0.0):
     return a, pivots, det
 
 
-def _singular_values(m):
-    """(singular values, noise floor): Gram-eigenvalue route.
+def _abs_sq_sum(v):
+    return sum(z.real * z.real + z.imag * z.imag for z in v)
 
-    Squaring through the Gram matrix limits the resolvable ratio of singular
-    values to about sqrt(machine epsilon); the returned floor bounds the
-    spurious magnitude a mathematically zero singular value can show.
+
+def _pivoted_qr_diagonal(m):
+    """(|R_kk| in pivot order, noise floor) of Householder QR with pivoting.
+
+    Businger-Golub column pivoting on the complex entries: at step k the
+    remaining column of largest norm is moved to position k and reflected
+    onto a multiple of e_k.  The pivots make |R_11| >= |R_22| >= ... reveal
+    the rank without squaring the matrix, so ratios down to about machine
+    epsilon are resolved.  A wide matrix is factored through its transpose,
+    which has the same rank; the columns are then the longer vectors.  The
+    floor ``16 max(nr, nc) eps |R_11|`` bounds the backward error of the
+    factorization, the magnitude a mathematically zero |R_kk| can show.
     """
     nr, nc = _check_rect(m)
-    a = [[to_complex(x) for x in row] for row in m]
     if nr == 0 or nc == 0:
         return [], 0.0
-    if nc <= nr:
-        g = [[sum(a[k][i].conjugate() * a[k][j] for k in range(nr))
-              for j in range(nc)] for i in range(nc)]
-    else:
-        g = [[sum(a[i][k] * a[j][k].conjugate() for k in range(nc))
-              for j in range(nr)] for i in range(nr)]
-    evs = hermitian_eigenvalues(g)
-    lam_max = max((abs(ev) for ev in evs), default=0.0)
-    noise = math.sqrt(16 * max(nr, nc) * 2.3e-16 * lam_max)
-    return [math.sqrt(ev) if ev > 0 else 0.0 for ev in evs], noise
+    vectors = zip(*m) if nr >= nc else m
+    cols = [[to_complex(x) for x in v] for v in vectors]
+    length, n = len(cols[0]), len(cols)
+    norms = [_abs_sq_sum(c) for c in cols]
+    # squared norms at their last exact evaluation; a downdated norm that
+    # has lost most of its size to cancellation is evaluated afresh (LAPACK
+    # xGEQP3 does the same)
+    fresh = list(norms)
+    recompute = math.sqrt(sys.float_info.epsilon)
+    diag = []
+    for k in range(min(length, n)):
+        p = max(range(k, n), key=norms.__getitem__)
+        cols[k], cols[p] = cols[p], cols[k]
+        norms[k], norms[p] = norms[p], norms[k]
+        fresh[k], fresh[p] = fresh[p], fresh[k]
+        x = cols[k][k:]
+        xnorm = math.sqrt(_abs_sq_sum(x))
+        if xnorm == 0.0:
+            break  # the pivot has the largest norm: every remaining column is 0
+        diag.append(xnorm)
+        alpha = x[0]
+        phase = alpha / abs(alpha) if alpha else 1.0
+        # reflector I - v v^H / (xnorm (xnorm + |alpha|)) with
+        # v = x + phase xnorm e_1 maps x to -phase xnorm e_1
+        v = [alpha + phase * xnorm] + x[1:]
+        vh = [z.conjugate() for z in v]
+        inv = 1.0 / (xnorm * (xnorm + abs(alpha)))
+        for j in range(k + 1, n):
+            c = cols[j]
+            tail = c[k:]
+            f = sum(map(operator.mul, vh, tail)) * inv
+            if f:
+                c[k:] = [a - f * b for a, b in zip(tail, v)]
+            t = norms[j] - (c[k].real * c[k].real + c[k].imag * c[k].imag)
+            if t <= recompute * fresh[j]:
+                t = fresh[j] = _abs_sq_sum(c[k + 1:])
+            norms[j] = t
+    diag.extend([0.0] * (min(length, n) - len(diag)))
+    return diag, 16 * max(nr, nc) * sys.float_info.epsilon * diag[0]
+
+
+def float_rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCE):
+    """(rank, smallest kept |R_kk|/|R_11|, largest dropped |R_kk|/|R_11|).
+
+    The rank counts the pivoted-QR diagonal entries above
+    ``max(relative_rank_epsilon |R_11|, absolute_floor, noise floor)``; the
+    two ratios say how close that decision was (0.0 where nothing is kept or
+    nothing is dropped).
+    """
+    diag, noise = _pivoted_qr_diagonal(m)
+    smax = max(diag, default=0.0)
+    if smax == 0.0:
+        return 0, 0.0, 0.0
+    cut = max(tol.relative_rank_epsilon * smax, tol.absolute_floor, noise)
+    kept = [d for d in diag if d > cut]
+    dropped = [d for d in diag if d <= cut]
+    return (len(kept), min(kept, default=0.0) / smax,
+            max(dropped, default=0.0) / smax)
 
 
 def rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
@@ -353,12 +414,7 @@ def rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
     if matrix_is_exact(m):
         r, _, _ = _bareiss(m)
         return r
-    svs, noise = _singular_values(m)
-    if not svs:
-        return 0
-    smax = max(svs)
-    cut = max(tol.relative_rank_epsilon * smax, tol.absolute_floor, noise)
-    return sum(1 for s in svs if s > cut)
+    return float_rank(m, tol)[0]
 
 
 def determinant(m):

@@ -9,12 +9,13 @@ from trivec.classify import (TABLE1, TABLE2, TABLE3, classify, classify6,
                              leclerc_residuals, plucker_residuals,
                              support_reduction)
 import trivec.covariants
+import trivec.exterior
 import trivec.invariants
 from trivec.cli import parse_state, state_document
 from trivec.exterior import (AltTensor, canonical_state, embed_three_qutrits,
                              slocc_apply)
 from trivec.invariants import J_DEGREES, nine_js
-from trivec.oracle import random_invertible, random_state
+from trivec.oracle import random_invertible, random_state, random_unimodular
 from trivec.scalars import GaussianRational, TolerancePolicy
 
 from test_acceptance import FAMILY_RANK_T, FAMILY_SAMPLES
@@ -108,6 +109,33 @@ def test_support_reduction_rank():
     assert classify8(p).label == "Sep"
 
 
+def test_support_reduction_inverts_once(monkeypatch):
+    calls = []
+    invert = trivec.exterior._invert_transpose
+
+    def counted(m):
+        calls.append(m)
+        return invert(m)
+
+    monkeypatch.setattr(trivec.exterior, "_invert_transpose", counted)
+    x7 = AltTensor.from_terms(8, 3, list(canonical_state(7, "X").terms()))
+    for p in (slocc_apply(random_invertible(8, 7), canonical_state(8, "XV")),
+              slocc_apply(random_invertible(8, 7), x7)):
+        for q in (p, p.to_float()):
+            calls.clear()
+            g, r = support_reduction(q)
+            assert len(calls) == 1
+            moved = slocc_apply(g, q)
+            assert max(t[-1] for t, v in moved.terms() if abs(v) > 1e-9) == r
+
+
+def test_float_moved_eight_mode_xi():
+    p = slocc_apply(random_invertible(8, 202), canonical_state(8, "XI"))
+    # the float state file, read back: its terms come in file order
+    q, _ = parse_state(state_document(p.to_float(), "float"))
+    assert classify8(q).label == classify8(p.to_float()).label == "XI"
+
+
 def test_classify9_families():
     params = {1: (1, 2, 4, 8), 2: (1, 2, 3), 3: (1, 2), 4: (1, 2),
               5: (1,), 6: (1,), 7: ()}
@@ -132,6 +160,13 @@ def test_classify9_rational_state_matches_its_integer_rescale():
         assert out.detail["rank_T"] == FAMILY_RANK_T[fam], fam
         for j_q, j_p, deg in zip(out.detail["J"], nine_js(p), J_DEGREES):
             assert j_q == Fraction(j_p, 3 ** deg), (fam, deg)
+
+
+def test_float_moved_families_keep_rank_t():
+    g = random_unimodular(9, 100)
+    for fam, params in FAMILY_SAMPLES.items():
+        p = slocc_apply(g, canonical_state(9, f"family{fam}", params)).to_float()
+        assert classify9_family(p).detail["rank_T"] == FAMILY_RANK_T[fam], fam
 
 
 def test_classify9_builds_t_once(monkeypatch):

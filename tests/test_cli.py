@@ -107,6 +107,24 @@ def test_classify_rejects_non_finite_float(tmp_path, capsys):
         assert "amplitudes[1]" in err
 
 
+def test_float_states_at_the_edges_of_the_double_range(tmp_path, capsys):
+    for value in ("1e-300", "1e200"):
+        doc = ghz_doc()
+        doc["scalar_mode"] = "float"
+        for amp in doc["amplitudes"]:
+            amp["re"] = value
+        path = write_state(tmp_path, "edge.json", doc)
+        code, out, _ = run_cli(capsys, "classify", "--input", path)
+        assert code == 0, value
+        rep = json.loads(out)
+        assert rep["classification"]["label"] == "GHZ"
+        assert rep["invariants"]["quartic_d"]["zero"] is False
+        assert rep["spectrum"]["occupations_descending"] == [0.5] * 6
+        code, out, _ = run_cli(capsys, "rdm", "--input", path)
+        assert code == 0, value
+        assert json.loads(out)["pinning"]["class_label"] == "GHZ"
+
+
 def test_embed_rejects_malformed_documents(tmp_path, capsys):
     entry = {"indices": [0, 0, 0], "re": "1", "im": "0"}
     for doc, field in (([entry], "document: must be a JSON object"),

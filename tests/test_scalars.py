@@ -7,8 +7,8 @@ import pytest
 from trivec.exterior import GroupElement
 from trivec.oracle import random_invertible
 from trivec.scalars import (GaussianRational, TolerancePolicy, determinant,
-                            hermitian_eigensystem, hermitian_eigenvalues,
-                            pfaffian, rank, row_reduce)
+                            float_rank, hermitian_eigensystem,
+                            hermitian_eigenvalues, pfaffian, rank, row_reduce)
 
 
 def test_gaussian_rational_basic_arithmetic():
@@ -69,7 +69,9 @@ def test_rank_matches_minor_enumeration():
               for _ in range(nc)] for _ in range(nr)]
         if rng.random() < 0.5 and nr > 1:
             m[-1] = [2 * x for x in m[0]]  # force a dependency sometimes
-        assert rank(m) == _brute_rank(m)
+        want = _brute_rank(m)
+        assert rank(m) == want
+        assert rank([[float(x) for x in row] for row in m]) == want
 
 
 def test_rank_matches_minors_order_six():
@@ -93,6 +95,30 @@ def test_rank_float_mode():
     assert rank(m) == 1
     m = [[1.0, 0.0], [0.0, 1e-3]]
     assert rank(m) == 2
+
+
+def test_float_rank_resolves_below_sqrt_eps():
+    # singular values 1 and 1e-9 in a rotated basis: a Gram matrix squares
+    # 1e-9 to 1e-18, below its noise, while pivoted QR keeps it
+    c, s = 0.6, 0.8
+    q = [[c, -s], [s, c]]
+    m = [[sum(q[i][k] * (1.0, 1e-9)[k] * q[j][k] for k in range(2))
+          for j in range(2)] for i in range(2)]
+    assert rank(m) == 2
+    r, kept, dropped = float_rank(m)
+    # |R_11| is the larger column norm 0.8 and |R_22| = det / |R_11|
+    assert r == 2 and kept == pytest.approx(1e-9 / 0.64) and dropped == 0.0
+
+
+def test_float_rank_margins():
+    m = [[2j, 0, 0], [0, 1e-3, 0], [0, 0, 2e-15]]
+    r, kept, dropped = float_rank(m)
+    assert r == 2
+    assert kept == pytest.approx(5e-4) and dropped == pytest.approx(1e-15)
+    assert float_rank([[0.0, 0.0]]) == (0, 0.0, 0.0)
+    # a wide matrix has the rank of its transpose
+    wide = [[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0 + 1e-6j]]
+    assert rank(wide) == rank([list(col) for col in zip(*wide)]) == 2
 
 
 def test_determinant_anchors():
