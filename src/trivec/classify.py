@@ -19,8 +19,8 @@ from .covariants import (bilinear_form_matrix, eight_covariants,
 from .exterior import AltTensor, GroupElement, slocc_apply, tuple_of
 from .invariants import (DELTA_DEGREES, J_DEGREES, delta_132, delta_24,
                          delta_48, delta_48_prime, dual_trivector,
-                         invariant_is_zero, nine_js_scaled, quartic_d,
-                         _integer_rescale)
+                         eight_i, invariant_is_zero, nine_js_scaled, quartic_d,
+                         _exact_ratio, _integer_rescale)
 from .scalars import (DEFAULT_TOLERANCE, TolerancePolicy, imag_part, rank,
                       real_part, row_reduce, to_complex)
 
@@ -298,10 +298,11 @@ def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
     chain; the class is unchanged because the rotation is a group element.
     """
     _check(p, 8)
+    scale = 1
     if p.mode == "exact":
         # labels are scale-free; integer coefficients keep the rank
         # computations in integer arithmetic
-        _, coeffs = _integer_rescale(p)
+        scale, coeffs = _integer_rescale(p)
         p = AltTensor(8, 3, coeffs)
     g, support = support_reduction(p, tol)
     if support <= 7:
@@ -327,9 +328,13 @@ def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
     quad = (rank(cov.g_matrix, tol), cov.f_map.rank(tol),
             cov.e_map.rank(tol), rank(cov.fe_matrix, tol))
     label = TABLE3.get(quad)
+    # I of the caller's state: it has degree 16 in the rescaled coefficients
+    i16 = eight_i(p, cov)
+    detail = {"eight_i": _exact_ratio(i16, scale ** 16) if scale != 1 else i16}
     if label is None:
-        return ClassLabel(8, "Unclassified", quad, {"rank_quadruple": quad})
-    return ClassLabel(8, label, quad)
+        detail["rank_quadruple"] = quad
+        return ClassLabel(8, "Unclassified", quad, detail)
+    return ClassLabel(8, label, quad, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,9 @@ def build_report(p: AltTensor, mode: str, real: bool = False) -> dict:
     elif p.dim == 7:
         inv["seven_j"] = _value_field(seven_j(q), mode, 7, scale, e)
     elif p.dim == 8:
-        inv["eight_i"] = _value_field(eight_i(q), mode, 16, scale, e)
+        # a state of reduced support is classified without the covariants
+        i16 = label.detail["eight_i"] if "eight_i" in label.detail else eight_i(q)
+        inv["eight_i"] = _value_field(i16, mode, 16, scale, e)
     else:
         for name, val, deg in zip(("J12", "J18", "J24", "J30"),
                                   label.detail["J"], J_DEGREES):

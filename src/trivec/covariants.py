@@ -14,6 +14,7 @@ det(g') under the group action, recorded as ``det_weight``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -386,6 +387,37 @@ _TRIPLES9 = list(itertools.combinations(range(1, 10), 3))
 _TRIPLE_POS = {mask_of(t): i for i, t in enumerate(_TRIPLES9)}
 
 
+@functools.lru_cache(maxsize=None)
+def _t_tables():
+    """Sign tables of the T contraction, built on first use.
+
+    ``vec_pair[(m1, m2)]`` is the merge sign of a vector and a disjoint pair;
+    ``completions[m12]`` lists, for each triple m3 disjoint from the triple
+    m12, ``(m3, row, negate)``: the row of the complementary triple u and
+    whether merge_sign(m12, m3) * merge_sign(u, m12 | m3) is negative.
+    """
+    full = (1 << 9) - 1
+    masks = list(_TRIPLE_POS)
+    vec_pair = {}
+    for f in range(9):
+        for pr in itertools.combinations(range(1, 10), 2):
+            m2 = mask_of(pr)
+            if not m2 >> f & 1:
+                vec_pair[(1 << f, m2)] = merge_sign(1 << f, m2)
+    completions = {}
+    for m12 in masks:
+        out = []
+        for m3 in masks:
+            if m12 & m3:
+                continue
+            v6 = m12 | m3
+            u = full ^ v6
+            out.append((m3, _TRIPLE_POS[u],
+                        merge_sign(m12, m3) * merge_sign(u, v6) < 0))
+        completions[m12] = out
+    return vec_pair, completions
+
+
 def t_matrix_rows(p: AltTensor) -> list:
     """Raw 84 x 84 rows of the cubic endomorphism of three-vectors.
 
@@ -396,8 +428,9 @@ def t_matrix_rows(p: AltTensor) -> list:
     """
     if p.dim != 9 or p.degree != 3:
         raise ValueError("t_matrix expects a three-form in nine dimensions")
-    full = (1 << 9) - 1
-    items = list(p.masks().items())
+    vec_pair, completions = _t_tables()
+    amp = p.masks()
+    items = list(amp.items())
     iota_vec = {}
     for f in range(1, 10):
         mf = 1 << (f - 1)
@@ -431,22 +464,23 @@ def t_matrix_rows(p: AltTensor) -> list:
                     continue
                 m = m1 | m2
                 term = v1 * v2
-                if merge_sign(m1, m2) < 0:
+                if vec_pair[(m1, m2)] < 0:
                     term = -term
                 cur = w12.get(m)
                 w12[m] = term if cur is None else cur + term
+        # each entry of T gets at most one term per m12, so the order of
+        # the completions m3 does not change any sum
         for m12, v12 in w12.items():
             if not v12:
                 continue
-            for m3, v3 in items:
-                if m12 & m3:
+            for m3, r, negate in completions[m12]:
+                v3 = amp.get(m3)
+                if v3 is None:
                     continue
-                v6 = m12 | m3
-                u = full ^ v6
                 term = v12 * v3
-                if merge_sign(m12, m3) * merge_sign(u, v6) < 0:
+                if negate:
                     term = -term
-                row = mat[_TRIPLE_POS[u]]
+                row = mat[r]
                 row[col] += weight * term
 
     for col, (w1, w2, w3) in enumerate(_TRIPLES9):

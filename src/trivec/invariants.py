@@ -148,9 +148,13 @@ def seven_j(p: AltTensor):
     return _exact_ratio(tr, 2 ** 4 * 3 ** 2 * 7)
 
 
-def eight_i(p: AltTensor):
-    """Degree-sixteen relative invariant Tr(G H)."""
-    cov = eight_covariants(p)
+def eight_i(p: AltTensor, cov=None):
+    """Degree-sixteen relative invariant Tr(G H).
+
+    ``cov`` may pass ``eight_covariants(p)`` when the caller already has it.
+    """
+    if cov is None:
+        cov = eight_covariants(p)
     tr = 0
     for i in range(8):
         for j in range(8):

@@ -1,14 +1,18 @@
 import importlib
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import trivec.cli
 from trivec.classify import classify
-from trivec.cli import build_report, main, parse_state, state_document
-from trivec.exterior import canonical_state, slocc_apply
+from trivec.cli import (_format_scalar, build_report, main, parse_state,
+                        state_document)
+from trivec.exterior import AltTensor, canonical_state, slocc_apply
+from trivec.invariants import eight_i
 from trivec.oracle import random_invertible
+from trivec.scalars import GaussianRational
 
 # the package exports the function ``classify``, which shadows the module name
 classify_module = importlib.import_module("trivec.classify")
@@ -318,6 +322,39 @@ def test_build_report_classifies_once(monkeypatch, dim, label, real, to_float):
     assert calls[f"classify{dim}"] == 1
     assert calls["classify6" if dim == 7 else "classify7"] == 0
     assert calls["quartic_d"] == (1 if dim == 6 else 0)
+
+
+@pytest.mark.parametrize("source", ["XV", "XXIII", "embedded 7:X"])
+@pytest.mark.parametrize("mode", ["rational", "gaussian", "float"])
+def test_eight_mode_report_builds_covariants_once(monkeypatch, source, mode):
+    invariants_module = importlib.import_module("trivec.invariants")
+    if source.startswith("embedded"):
+        # support 7: classify8 delegates and the report computes I itself
+        p = AltTensor(8, 3, dict(canonical_state(7, "X").masks()))
+    elif mode == "gaussian":
+        # unmoved: Gaussian-rational covariants of a moved state are slow
+        p = canonical_state(8, source)
+    else:
+        p = _moved(8, source)
+    if mode == "gaussian":
+        z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+        p = AltTensor(8, 3, {m: v * z for m, v in p.masks().items()})
+    elif mode == "float":
+        p = p.to_float()
+    want = _format_scalar(eight_i(p), "float" if mode == "float" else "rational")
+    calls = Counter()
+    original = classify_module.eight_covariants
+
+    def counted(q):
+        calls["eight_covariants"] += 1
+        return original(q)
+
+    monkeypatch.setattr(classify_module, "eight_covariants", counted)
+    monkeypatch.setattr(invariants_module, "eight_covariants", counted)
+    report = build_report(p, "float" if mode == "float" else "rational")
+    assert calls["eight_covariants"] == 1
+    field = report["invariants"]["eight_i"]
+    assert (field["re"], field["im"]) == want
 
 
 def test_rdm_pinning_label_is_the_class_label(tmp_path, capsys):

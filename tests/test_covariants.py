@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ from trivec.covariants import (bilinear_form_matrix, dual_trivector,
                                freudenthal_dual, k_matrix_6, kappa_map,
                                matmul, seven_covariants, t_map,
                                t_power_trace, t_power_traces, t_matrix_rows)
-from trivec.exterior import (AltTensor, canonical_state, nine_q,
-                             slocc_apply, split_seven)
+from trivec.exterior import (AltTensor, canonical_state, mask_of,
+                             merge_sign, nine_q, slocc_apply, split_seven)
 from trivec.invariants import quartic_d
 from trivec.oracle import (random_rational_state, random_state,
                            random_unimodular)
@@ -166,6 +167,38 @@ def test_t_map_rank_and_odd_traces():
     tr = t_power_traces(t_matrix_rows(q1))
     assert tr[1] == 0 and tr[2] == 0 and tr[3] == 0
     assert t_power_trace(q1, 1) == 0
+
+
+def _t_rows_by_merge_signs(p):
+    """T from its defining sum, one merge_sign per factor and no tables."""
+    full = (1 << 9) - 1
+    amp = p.masks()
+    triples = list(itertools.combinations(range(1, 10), 3))
+    row_of = {mask_of(t): i for i, t in enumerate(triples)}
+
+    def iota(mask):
+        return {m ^ mask: (-v if merge_sign(mask, m ^ mask) < 0 else v)
+                for m, v in amp.items() if m & mask == mask}
+
+    mat = [[0] * 84 for _ in range(84)]
+    for col, (a, b, c) in enumerate(triples):
+        for pair, f, w in (((a, b), c, 2), ((a, c), b, -2), ((b, c), a, 2)):
+            for m1, v1 in iota(mask_of(pair)).items():
+                for m2, v2 in iota(mask_of((f,))).items():
+                    for m3, v3 in amp.items():
+                        if m1 & m2 or (m1 | m2) & m3:
+                            continue
+                        v6 = m1 | m2 | m3
+                        s = (merge_sign(m1, m2) * merge_sign(m1 | m2, m3)
+                             * merge_sign(full ^ v6, v6))
+                        mat[row_of[full ^ v6]][col] += w * s * v1 * v2 * v3
+    return mat
+
+
+def test_t_matrix_rows_match_the_defining_sum():
+    for seed in (3, 4):
+        p = random_state(9, seed, density=0.3)
+        assert t_matrix_rows(p) == _t_rows_by_merge_signs(p)
 
 
 def test_t_map_family_one_rank():
