@@ -7,32 +7,42 @@ dimensions resolves the family from the vanishing pattern of the four
 discriminant combinations.  A state whose signature matches no table row
 comes back as ``Unclassified`` with a diagnostic payload, never as a nearest
 match.
+
+Each classifier also returns the invariants it printed in a report, from the
+covariants it built once.  Exact states are classified on their integer
+rescale, which keeps every covariant in integer arithmetic; labels and ranks
+are scale-free, and each invariant is divided back by scale**degree.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .covariants import (bilinear_form_matrix, eight_covariants,
-                         first_order_map, k_matrix_6, kappa_map)
+from .covariants import (eight_covariants, first_order_map, k_matrix_6,
+                         kappa_map, seven_covariants)
 from .exterior import AltTensor, GroupElement, slocc_apply, tuple_of
-from .invariants import (DELTA_DEGREES, J_DEGREES, delta_132, delta_24,
-                         delta_48, delta_48_prime, dual_trivector,
-                         eight_i, invariant_is_zero, nine_js_scaled, quartic_d,
-                         _exact_ratio, _integer_rescale)
+from .invariants import (DELTA_DEGREES, J_DEGREES, dual_trivector, eight_i,
+                         invariant_is_zero, nine_deltas, nine_js_scaled,
+                         quartic_d, seven_j, _exact_ratio, _integer_rescale)
 from .scalars import (DEFAULT_TOLERANCE, TolerancePolicy, imag_part, rank,
                       real_part, row_reduce, to_complex)
 
 
 @dataclass
 class ClassLabel:
-    """Classification outcome: label plus the signature that justified it."""
+    """Classification outcome: label plus the signature that justified it.
+
+    ``invariants`` maps the report name of each polynomial invariant the
+    classifier evaluated to ``(value, degree)`` for the caller's state.
+    """
 
     dimension: int
     label: str
     signature: tuple
     detail: dict = field(default_factory=dict)
+    invariants: dict = field(default_factory=dict)
 
     @property
     def classified(self) -> bool:
@@ -97,6 +107,22 @@ def _check(p, dim):
         raise ValueError(f"expected a three-form in {dim} dimensions")
 
 
+def _on_integer_rescale(classifier):
+    """Run ``classifier`` on the integer rescale of an exact state and divide
+    each invariant it returns by scale**degree; float states pass through."""
+    @functools.wraps(classifier)
+    def run(p, *args, **kwargs):
+        if p.mode != "exact":
+            return classifier(p, *args, **kwargs)
+        scale, coeffs = _integer_rescale(p)
+        out = classifier(AltTensor(p.dim, p.degree, coeffs), *args, **kwargs)
+        if scale != 1:
+            out.invariants = {name: (_exact_ratio(v, scale ** deg), deg)
+                              for name, (v, deg) in out.invariants.items()}
+        return out
+    return run
+
+
 # ---------------------------------------------------------------------------
 # Pluecker relations
 
@@ -159,27 +185,31 @@ def is_separable(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool
 # six dimensions
 
 
-def rank_triple_6(p: AltTensor, tol=DEFAULT_TOLERANCE):
+def rank_triple_6(p: AltTensor, tol=DEFAULT_TOLERANCE, k=None):
+    """``k`` may pass ``k_matrix_6(p)`` when the caller already has it."""
     return (first_order_map(p, 2).rank(tol),
-            kappa_map(p, (1,)).rank(tol),
+            (k_matrix_6(p) if k is None else k).rank(tol),
             kappa_map(p, (2,)).rank(tol))
 
 
+@_on_integer_rescale
 def classify6(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:
     """Invariant decision chain for six dimensions, table cross-validated.
 
     Chain: nonzero quartic invariant is the generic class; else a nonzero
     cubic companion is W; else nonzero Pluecker residuals mean biseparable;
-    else separable or null.  The rank triple must independently agree.
+    else separable or null.  The rank triple must independently agree.  One
+    6x6 covariant K feeds D, the cubic companion and the rank triple.
     """
     _check(p, 6)
     scale = p.max_abs()
     eps = tol.zero_epsilon
-    d = quartic_d(p)
+    k = k_matrix_6(p)
+    d = quartic_d(p, k=k)
     if not invariant_is_zero(d, scale, 4, eps):
         chain = "GHZ"
     elif not all(invariant_is_zero(v, scale, 3, eps)
-                 for v in dual_trivector(p).masks().values()):
+                 for v in dual_trivector(p, k).masks().values()):
         chain = "W"
     elif not is_separable(p, tol):
         chain = "Bisep"
@@ -187,14 +217,16 @@ def classify6(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
         chain = "Sep"
     else:
         chain = "Null"
-    triple = rank_triple_6(p, tol)
+    triple = rank_triple_6(p, tol, k)
     table = TABLE1.get(triple)
-    detail = {"quartic_d": d, "rank_triple": triple}
+    detail = {"rank_triple": triple}
+    if p.mode == "float":  # for the real split; float states are not rescaled
+        detail["k_matrix"] = k.matrix
+    label = chain
     if table != chain:
-        detail["chain_label"] = chain
-        detail["table_label"] = table
-        return ClassLabel(6, "Unclassified", triple, detail)
-    return ClassLabel(6, chain, triple, detail)
+        detail.update(chain_label=chain, table_label=table)
+        label = "Unclassified"
+    return ClassLabel(6, label, triple, detail, {"quartic_d": (d, 4)})
 
 
 def _float_zero_tensor(p, scale, eps=1e-12):
@@ -217,11 +249,10 @@ def classify6_real(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Cl
     out = classify6(p, tol)
     if out.label != "GHZ":
         return out
-    d = out.detail["quartic_d"]
-    dr = real_part(d)
+    dr = real_part(out.invariants["quartic_d"][0])
     label = "GHZ+" if dr > 0 else "GHZ-"
     if p.mode == "float" and dr < 0:
-        k = k_matrix_6(p).matrix
+        k = out.detail["k_matrix"]
         s = (-dr) ** 0.5
         j = [[to_complex(x) / s for x in row] for row in k]
         for i in range(6):
@@ -230,29 +261,32 @@ def classify6_real(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Cl
                 got = sum(j[i][t] * j[t][jj] for t in range(6))
                 if abs(got - want) > 1e-8:
                     out.detail["complex_structure_defect"] = abs(got - want)
-                    return ClassLabel(6, "Unclassified", out.signature, out.detail)
-    return ClassLabel(6, label, out.signature, out.detail)
+                    return replace(out, label="Unclassified")
+    return replace(out, label=label)
 
 
 # ---------------------------------------------------------------------------
 # seven dimensions
 
 
-def rank_triple_7(p: AltTensor, tol=DEFAULT_TOLERANCE):
-    n_form = bilinear_form_matrix(kappa_map(p, (1, 1)))
-    return (rank(n_form, tol),
+def rank_triple_7(p: AltTensor, tol=DEFAULT_TOLERANCE, cov=None):
+    """``cov`` may pass ``seven_covariants(p)`` when the caller already has it."""
+    if cov is None:
+        cov = seven_covariants(p)
+    return (rank(cov.n_matrix, tol),
             first_order_map(p, 2).rank(tol),
-            kappa_map(p, (1,)).rank(tol))
+            cov.m_map.rank(tol))
 
 
+@_on_integer_rescale
 def classify7(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:
     """Rank-triple lookup; the ten signatures are pairwise distinct."""
     _check(p, 7)
-    triple = rank_triple_7(p, tol)
-    label = TABLE2.get(triple)
-    if label is None:
-        return ClassLabel(7, "Unclassified", triple, {"rank_triple": triple})
-    return ClassLabel(7, label, triple)
+    cov = seven_covariants(p)
+    triple = rank_triple_7(p, tol, cov)
+    label = TABLE2.get(triple, "Unclassified")
+    detail = {"rank_triple": triple} if label == "Unclassified" else {}
+    return ClassLabel(7, label, triple, detail, {"seven_j": (seven_j(p, cov), 7)})
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +324,19 @@ def support_reduction(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE):
     return GroupElement.from_inverse_transpose(cols), len(piv_cols)
 
 
+@_on_integer_rescale
 def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:
     """Quadruple lookup, delegating to lower tables on reduced support.
 
     States supported on at most seven independent directions are rotated
     onto the leading indices and classified by the seven- or six-dimensional
     chain; the class is unchanged because the rotation is a group element.
+    Delegated states still report I = Tr(GH) of the eight-mode state.
     """
     _check(p, 8)
-    scale = 1
-    if p.mode == "exact":
-        # labels are scale-free; integer coefficients keep the rank
-        # computations in integer arithmetic
-        scale, coeffs = _integer_rescale(p)
-        p = AltTensor(8, 3, coeffs)
     g, support = support_reduction(p, tol)
     if support <= 7:
+        invariants = {"eight_i": (eight_i(p), 16)}
         rotated = slocc_apply(g, p)
         sub_dim = 7 if support == 7 else 6
         keep = {}
@@ -314,7 +345,8 @@ def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
                 continue
             if m >= 1 << sub_dim:
                 return ClassLabel(8, "Unclassified", (support,),
-                                  {"support_reduction_defect": tuple_of(m)})
+                                  {"support_reduction_defect": tuple_of(m)},
+                                  invariants)
             keep[m] = v
         sub = AltTensor(sub_dim, 3, keep)
         out = classify6(sub, tol) if sub_dim == 6 else classify7(sub, tol)
@@ -323,24 +355,20 @@ def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
         detail["support_rank"] = support
         if sub_dim == 6 and out.label in _SIX_TO_ROMAN:
             detail["roman_equivalent"] = _SIX_TO_ROMAN[out.label]
-        return ClassLabel(8, out.label, out.signature, detail)
+        return ClassLabel(8, out.label, out.signature, detail, invariants)
     cov = eight_covariants(p)
     quad = (rank(cov.g_matrix, tol), cov.f_map.rank(tol),
             cov.e_map.rank(tol), rank(cov.fe_matrix, tol))
-    label = TABLE3.get(quad)
-    # I of the caller's state: it has degree 16 in the rescaled coefficients
-    i16 = eight_i(p, cov)
-    detail = {"eight_i": _exact_ratio(i16, scale ** 16) if scale != 1 else i16}
-    if label is None:
-        detail["rank_quadruple"] = quad
-        return ClassLabel(8, "Unclassified", quad, detail)
-    return ClassLabel(8, label, quad, detail)
+    label = TABLE3.get(quad, "Unclassified")
+    detail = {"rank_quadruple": quad} if label == "Unclassified" else {}
+    return ClassLabel(8, label, quad, detail, {"eight_i": (eight_i(p, cov), 16)})
 
 
 # ---------------------------------------------------------------------------
 # nine dimensions
 
 
+@_on_integer_rescale
 def classify9_family(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE,
                      compute_rank_t: bool = True) -> ClassLabel:
     """Family assignment from the vanishing pattern of the discriminants.
@@ -352,32 +380,23 @@ def classify9_family(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE,
     """
     _check(p, 9)
     scale = p.max_abs()
-    # work with the integer-rescaled invariants: vanishing patterns are
-    # scale-free and the discriminant polynomials stay in integer arithmetic
-    js_raw, lam, tm = nine_js_scaled(p)
-    js = js_raw if lam == 1 else tuple(
-        j / lam ** deg for j, deg in zip(js_raw, J_DEGREES))
-    detail = {"J": js}
-    exact = p.mode != "float"
-    raw_scale = scale * lam
-    j_zero = tuple(invariant_is_zero(j, raw_scale, deg, tol.zero_epsilon)
-                   for j, deg in zip(js_raw, J_DEGREES))
+    eps = tol.zero_epsilon
+    js, _, tm = nine_js_scaled(p)
+    invariants = dict(zip(("J12", "J18", "J24", "J30"), zip(js, J_DEGREES)))
+    detail = {}
     if compute_rank_t:
         detail["rank_T"] = rank(tm, tol)
-    if all(j_zero):
-        return ClassLabel(9, "family7", (True,) * 4, detail)
-    deltas_raw = (delta_132(js_raw), delta_48(js_raw),
-                  delta_48_prime(js_raw), delta_24(js_raw))
-    detail["deltas"] = deltas_raw if lam == 1 else tuple(
-        dv / lam ** deg for dv, deg in zip(deltas_raw, DELTA_DEGREES))
-    pattern = tuple(invariant_is_zero(dv, raw_scale, deg, tol.zero_epsilon)
-                    for dv, deg in zip(deltas_raw, DELTA_DEGREES))
-    if not exact:
+    if all(invariant_is_zero(j, scale, deg, eps) for j, deg in zip(js, J_DEGREES)):
+        return ClassLabel(9, "family7", (True,) * 4, detail, invariants)
+    deltas = nine_deltas(js)
+    invariants.update(zip(("Delta132", "Delta48", "Delta48p", "Delta24"),
+                          zip(deltas, DELTA_DEGREES)))
+    pattern = tuple(invariant_is_zero(dv, scale, deg, eps)
+                    for dv, deg in zip(deltas, DELTA_DEGREES))
+    if p.mode == "float":
         detail["delta132_confidence"] = "low"
-    label = TABLE4_ZERO_PATTERNS.get(pattern)
-    if label is None:
-        return ClassLabel(9, "Unclassified", pattern, detail)
-    return ClassLabel(9, label, pattern, detail)
+    label = TABLE4_ZERO_PATTERNS.get(pattern, "Unclassified")
+    return ClassLabel(9, label, pattern, detail, invariants)
 
 
 def classify(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE,

@@ -33,9 +33,8 @@ from . import __version__
 from .classify import classify
 from .exterior import (AltTensor, canonical_state, embed_three_qubits,
                        embed_three_qutrits, slocc_apply, sort_indices)
-from .invariants import (J_DEGREES, eight_i, invariant_is_zero,
-                         qutrit_normal_form_coefficients,
-                         qutrit_normal_invariants, seven_j)
+from .invariants import (invariant_is_zero, qutrit_normal_form_coefficients,
+                         qutrit_normal_invariants)
 from .oracle import random_invertible, random_state, selfcheck
 from .scalars import GaussianRational, imag_part, to_complex
 from .spectra import occupation_spectrum, pinning_analysis
@@ -58,9 +57,9 @@ def _parse_scalar(entry, mode, where):
         if mode == "rational":
             re = Fraction(str(re_s))
             im = Fraction(str(im_s))
-            if im == 0 and re.denominator == 1:
-                return int(re)
-            return GaussianRational(re, im)
+            if im:
+                return GaussianRational(re, im)
+            return int(re) if re.denominator == 1 else re
         re = float(re_s)
         im = float(im_s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -225,27 +224,12 @@ def build_report(p: AltTensor, mode: str, real: bool = False) -> dict:
         "spectrum": None,
     }
     inv = report["invariants"]
-    if p.dim == 6:
-        inv["quartic_d"] = _value_field(label.detail["quartic_d"], mode, 4, scale, e)
-    elif p.dim == 7:
-        inv["seven_j"] = _value_field(seven_j(q), mode, 7, scale, e)
-    elif p.dim == 8:
-        # a state of reduced support is classified without the covariants
-        i16 = label.detail["eight_i"] if "eight_i" in label.detail else eight_i(q)
-        inv["eight_i"] = _value_field(i16, mode, 16, scale, e)
-    else:
-        for name, val, deg in zip(("J12", "J18", "J24", "J30"),
-                                  label.detail["J"], J_DEGREES):
-            inv[name] = _value_field(val, mode, deg, scale, e)
-        deltas = label.detail.get("deltas")
-        if deltas is not None:
-            for name, val, deg in zip(("Delta132", "Delta48", "Delta48p", "Delta24"),
-                                      deltas, (132, 48, 48, 24)):
-                inv[name] = _value_field(val, mode, deg, scale, e)
-            if "delta132_confidence" in label.detail:
-                inv["Delta132"]["confidence"] = label.detail["delta132_confidence"]
-        if "rank_T" in label.detail:
-            report["classification"]["rank_T"] = label.detail["rank_T"]
+    for name, (value, degree) in label.invariants.items():
+        inv[name] = _value_field(value, mode, degree, scale, e)
+    if "delta132_confidence" in label.detail:
+        inv["Delta132"]["confidence"] = label.detail["delta132_confidence"]
+    if "rank_T" in label.detail:
+        report["classification"]["rank_T"] = label.detail["rank_T"]
     if p.dim in (6, 7) and not p.is_zero():
         spec = occupation_spectrum(q)
         pin = pinning_analysis(q, label.label)

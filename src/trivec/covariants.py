@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import (AltTensor, SubsetIndexer, interior, mask_of,
-                       merge_sign, sort_indices, star, tuple_of, wedge)
+                       merge_sign, star, tuple_of, wedge)
 from .scalars import (DEFAULT_TOLERANCE, GaussianRational, TolerancePolicy,
                       rank as matrix_rank)
 
@@ -45,10 +45,6 @@ class ExtLinearMap:
 
     def rank(self, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
         return matrix_rank(self.matrix, tol)
-
-    @property
-    def shape(self):
-        return (len(self.matrix), len(self.col_keys))
 
 
 def first_order_map(p: AltTensor, l: int) -> ExtLinearMap:
@@ -133,11 +129,14 @@ def k_matrix_6(p: AltTensor) -> ExtLinearMap:
     return kappa_map(p, (1,))
 
 
-def dual_trivector(p: AltTensor) -> AltTensor:
-    """Cubic companion three-form: Ptilde_abc = sum_d P_bcd K^d_a."""
+def dual_trivector(p: AltTensor, k=None) -> AltTensor:
+    """Cubic companion three-form: Ptilde_abc = sum_d P_bcd K^d_a.
+
+    ``k`` may pass ``k_matrix_6(p)`` when the caller already has it.
+    """
     if p.dim != 6 or p.degree != 3:
         raise ValueError("dual_trivector expects a three-form in six dimensions")
-    kmat = k_matrix_6(p).matrix
+    kmat = (k_matrix_6(p) if k is None else k).matrix
     terms = []
     for (a, b, c) in itertools.combinations(range(1, 7), 3):
         v = None
@@ -283,13 +282,6 @@ class EightCovariants:
     def f_component(self, a: int, b1: int, b2: int):
         return self.f_map.matrix[a - 1][self._f_cols[(1 << (b1 - 1), 1 << (b2 - 1))]]
 
-    def e_component(self, a: int, b: int, c: int, d: int):
-        sign, st = sort_indices((a, b, c))
-        if sign == 0:
-            return 0
-        v = self.e_map.matrix[self.e_map.row_subsets.position[mask_of(st)]][d - 1]
-        return -v if sign < 0 else v
-
 
 def eight_covariants(p: AltTensor) -> EightCovariants:
     """All eight-dimensional covariants in one pass.
@@ -306,7 +298,6 @@ def eight_covariants(p: AltTensor) -> EightCovariants:
     cov = EightCovariants(f_map, e_map, [], [], [])
     cov._f_cols = {key: i for i, key in enumerate(f_map.col_keys)}
     F = cov.f_component
-    E = cov.e_component
     rng = range(1, 9)
 
     # sparse views keyed by index tuples, skipping zeros

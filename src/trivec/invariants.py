@@ -71,7 +71,7 @@ def _adjugate3(m):
     return [[co[j][i] for j in range(3)] for i in range(3)]
 
 
-def quartic_d(p: AltTensor, route: str = "trace"):
+def quartic_d(p: AltTensor, route: str = "trace", k=None):
     """Quartic relative invariant of a six-dimensional three-form.
 
     Three independent evaluation routes must agree:
@@ -81,11 +81,13 @@ def quartic_d(p: AltTensor, route: str = "trace"):
       dictionary,
     * ``pairing``: half the symplectic pairing of the cubic companion
       three-form against the state.
+
+    ``k`` may pass ``k_matrix_6(p)`` when the caller already has it.
     """
     if p.dim != 6 or p.degree != 3:
         raise ValueError("quartic_d expects a three-form in six dimensions")
     if route == "trace":
-        k = k_matrix_6(p).matrix
+        k = (k_matrix_6(p) if k is None else k).matrix
         tr = 0
         for i in range(6):
             for j in range(6):
@@ -134,9 +136,13 @@ def three_tangle(psi) -> float:
 # seven and eight dimensions
 
 
-def seven_j(p: AltTensor):
-    """Degree-seven relative invariant Tr(L N) / (2^4 3^2 7)."""
-    cov = seven_covariants(p)
+def seven_j(p: AltTensor, cov=None):
+    """Degree-seven relative invariant Tr(L N) / (2^4 3^2 7).
+
+    ``cov`` may pass ``seven_covariants(p)`` when the caller already has it.
+    """
+    if cov is None:
+        cov = seven_covariants(p)
     tr = 0
     for i in range(7):
         for j in range(7):
@@ -193,35 +199,27 @@ def _integer_rescale(p: AltTensor):
         elif isinstance(v, Fraction):
             scale = _lcm(scale, v.denominator)
     out = {}
-    complex_exact = False
     for m, v in p.masks().items():
         if isinstance(v, GaussianRational):
             re = v.re * scale
             im = v.im * scale
-            if im:
-                complex_exact = True
-                out[m] = GaussianRational(re, im)
-            else:
-                out[m] = int(re)
+            out[m] = GaussianRational(re, im) if im else int(re)
         elif isinstance(v, Fraction):
             out[m] = int(v * scale)
         else:
             out[m] = v * scale
-    if complex_exact:
-        out = {m: v if isinstance(v, GaussianRational) else GaussianRational(v)
-               for m, v in out.items()}
     return scale, out
 
 
-def nine_js_scaled(p: AltTensor, check_identities: bool = True):
+def nine_js_scaled(p: AltTensor):
     """((J12, J18, J24, J30), scale, T rows) of the integer-rescaled state.
 
     Exact states are rescaled to (Gaussian) integer coefficients first, so
     the matrix powers run on machine/big integers.  The invariants of the
-    original state are the returned values divided by scale**degree; callers
-    that only need vanishing patterns can skip that division.  The 84 x 84
-    rows are T(scale P) = scale^3 T(P), so their rank is the rank of T(P).  The identities Tr T = Tr T^2 = Tr T^3 = 0
-    are verified on every call unless disabled.
+    original state are the returned values divided by scale**degree.  The
+    84 x 84 rows are T(scale P) = scale^3 T(P), so their rank is the rank of
+    T(P).  The identities Tr T = Tr T^2 = Tr T^3 = 0 are verified on every
+    call.
     """
     if p.dim != 9 or p.degree != 3:
         raise ValueError("nine_js expects a three-form in nine dimensions")
@@ -233,15 +231,14 @@ def nine_js_scaled(p: AltTensor, check_identities: bool = True):
         scale, work = 1, p
     tm = t_matrix_rows(work)
     traces = t_power_traces(tm)
-    if check_identities:
-        if exact:
-            if traces[1] or traces[2] or traces[3]:
-                raise ArithmeticError("trace identities violated; construction bug")
-        else:
-            norm = max((abs(x) for row in tm for x in row), default=0.0)
-            for n in (1, 2, 3):
-                if abs(traces[n]) > 1e-8 * max(norm, 1e-300) ** n * 84:
-                    raise ArithmeticError("trace identities violated beyond tolerance")
+    if exact:
+        if traces[1] or traces[2] or traces[3]:
+            raise ArithmeticError("trace identities violated; construction bug")
+    else:
+        norm = max((abs(x) for row in tm for x in row), default=0.0)
+        for n in (1, 2, 3):
+            if abs(traces[n]) > 1e-8 * max(norm, 1e-300) ** n * 84:
+                raise ArithmeticError("trace identities violated beyond tolerance")
     out = []
     for (den, tr, sign) in zip(_J_DENOMS,
                                (traces[4], traces[6], traces[8], traces[10]),
@@ -257,9 +254,9 @@ def nine_js_scaled(p: AltTensor, check_identities: bool = True):
     return tuple(out), scale, tm
 
 
-def nine_js(p: AltTensor, check_identities: bool = True):
+def nine_js(p: AltTensor):
     """The four trace invariants (J12, J18, J24, J30)."""
-    js, scale, _ = nine_js_scaled(p, check_identities)
+    js, scale, _ = nine_js_scaled(p)
     if scale == 1:
         return js
     return tuple(j / scale ** deg for j, deg in zip(js, J_DEGREES))
@@ -338,8 +335,8 @@ def nine_deltas(js):
 
     Exact inputs give exact values.  Float inputs are legal for the three
     smaller combinations; the degree-132 one is still computed but callers
-    should treat its float value as low-confidence (the report layer flags
-    it).
+    should treat its float value as low-confidence (``classify9_family``
+    flags it).
     """
     return (delta_132(js), delta_48(js), delta_48_prime(js), delta_24(js))
 

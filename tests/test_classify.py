@@ -145,21 +145,45 @@ def test_classify9_families():
         assert out.label == f"family{fam}"
 
 
-def test_classify9_rational_state_matches_its_integer_rescale():
-    # the parser stores non-integer rationals as GaussianRational with a zero
-    # imaginary part; label, rank T and scaled invariants must not change
+def _rescale_pairs():
+    """(dim, integer-coefficient state, name) over the 6-9-mode tables."""
+    for dim, table in ((6, TABLE1), (7, TABLE2), (8, TABLE3)):
+        for label in table.values():
+            yield dim, canonical_state(dim, label), label
+    # generic rows moved, so their invariants are nonzero and not units
+    for dim, label in ((6, "GHZ"), (7, "X"), (8, "XXIII")):
+        p = slocc_apply(random_unimodular(dim, 100), canonical_state(dim, label))
+        yield dim, p, label
     for fam, params in FAMILY_SAMPLES.items():
-        p = canonical_state(9, f"family{fam}", params)
+        yield 9, canonical_state(9, f"family{fam}", params), f"family{fam}"
+
+
+def test_classify9_rational_state_matches_its_integer_rescale():
+    # every classifier, 6 to 9 modes, runs on the integer rescale of an
+    # exact state; label, signature and rank T must not change, and each
+    # invariant must scale back by 3^-degree
+    direct = {6: classify6, 7: classify7, 8: classify8, 9: classify9_family}
+    for dim, p, label in _rescale_pairs():
         doc = state_document(p.scale(Fraction(1, 3)), "rational")
         q, _ = parse_state(doc)
-        gauss = [v for v in q.masks().values()
-                 if isinstance(v, GaussianRational)]
-        assert gauss and not any(v.im for v in gauss), fam
-        out = classify(q)
-        assert out.label == f"family{fam}"
-        assert out.detail["rank_T"] == FAMILY_RANK_T[fam], fam
-        for j_q, j_p, deg in zip(out.detail["J"], nine_js(p), J_DEGREES):
-            assert j_q == Fraction(j_p, 3 ** deg), (fam, deg)
+        # the parser keeps real non-integer rationals as Fraction
+        assert all(not isinstance(v, GaussianRational) or v.im
+                   for v in q.masks().values()), label
+        want = classify(p)
+        assert want.label == label
+        for out in (classify(q), direct[dim](q)):
+            assert (out.label, out.signature) == (want.label, want.signature)
+            assert out.detail.get("rank_T") == want.detail.get("rank_T")
+            assert out.invariants.keys() == want.invariants.keys(), label
+            for name, (v_q, deg) in out.invariants.items():
+                v_p, deg_p = want.invariants[name]
+                assert deg == deg_p
+                assert v_q * 3 ** deg == v_p, (label, name)
+        if dim == 9:
+            assert want.detail["rank_T"] == FAMILY_RANK_T[int(label[6:])]
+            for j_q, j_p, deg in zip(out.invariants.values(), nine_js(p),
+                                     J_DEGREES):
+                assert j_q[0] == Fraction(j_p, 3 ** deg), (label, deg)
 
 
 def test_float_moved_families_keep_rank_t():

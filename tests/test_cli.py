@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 import trivec.cli
+import trivec.covariants
 from trivec.classify import classify
 from trivec.cli import (_format_scalar, build_report, main, parse_state,
                         state_document)
 from trivec.exterior import AltTensor, canonical_state, slocc_apply
-from trivec.invariants import eight_i
+from trivec.invariants import eight_i, quartic_d, seven_j
 from trivec.oracle import random_invertible
 from trivec.scalars import GaussianRational
 
@@ -354,6 +355,100 @@ def test_eight_mode_report_builds_covariants_once(monkeypatch, source, mode):
     report = build_report(p, "float" if mode == "float" else "rational")
     assert calls["eight_covariants"] == 1
     field = report["invariants"]["eight_i"]
+    assert (field["re"], field["im"]) == want
+
+
+_GAUSS = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+
+
+def _report_state(dim, label, mode, moved=True):
+    p = _moved(dim, label) if moved else canonical_state(dim, label)
+    if mode == "gaussian":
+        p = AltTensor(dim, 3, {m: v * _GAUSS for m, v in p.masks().items()})
+    elif mode == "float":
+        p = p.to_float()
+    return p
+
+
+def _count_kappa_maps(monkeypatch):
+    calls = Counter()
+    original = trivec.covariants.kappa_map
+
+    def counted(p, degrees):
+        calls[tuple(degrees)] += 1
+        return original(p, degrees)
+
+    monkeypatch.setattr(trivec.covariants, "kappa_map", counted)
+    monkeypatch.setattr(classify_module, "kappa_map", counted)
+    return calls
+
+
+# the real split needs real amplitudes, so it has no Gaussian-rational case
+@pytest.mark.parametrize("label,real,mode", [
+    (label, False, mode) for label in ("GHZ", "W", "Bisep")
+    for mode in ("rational", "gaussian", "float")] + [
+    (label, True, mode) for label in ("GHZ", "GHZ-")
+    for mode in ("rational", "float")])
+def test_six_mode_report_builds_k_once(monkeypatch, label, real, mode):
+    p = _report_state(6, label, mode)
+    arith = "float" if mode == "float" else "rational"
+    want = _format_scalar(quartic_d(p), arith)
+    calls = _count_kappa_maps(monkeypatch)
+    report = build_report(p, arith, real=real)
+    # K is the (1,) map; the rank triple also needs the (2,) map once
+    assert calls == {(1,): 1, (2,): 1}
+    field = report["invariants"]["quartic_d"]
+    assert (field["re"], field["im"]) == want
+    if real:
+        want_label = "GHZ-" if label == "GHZ-" else "GHZ+"
+        assert report["classification"]["label"] == want_label
+
+
+@pytest.mark.parametrize("label", ["IV", "VII", "X"])
+@pytest.mark.parametrize("mode", ["rational", "gaussian", "float"])
+def test_seven_mode_report_builds_m_and_n_once(monkeypatch, label, mode):
+    p = _report_state(7, label, mode)
+    arith = "float" if mode == "float" else "rational"
+    want = _format_scalar(seven_j(p), arith)
+    calls = _count_kappa_maps(monkeypatch)
+    report = build_report(p, arith)
+    # M is the (1,) map, N the (1, 1) one
+    assert calls == {(1,): 1, (1, 1): 1}
+    assert report["classification"]["label"] == label
+    field = report["invariants"]["seven_j"]
+    assert (field["re"], field["im"]) == want
+
+
+@pytest.mark.parametrize("dim,label", [(7, "X"), (8, "XV"), (8, "embedded 7:X")])
+@pytest.mark.parametrize("mode", ["rational", "gaussian", "float"])
+def test_build_report_leaves_invariants_to_the_classifier(monkeypatch, dim,
+                                                          label, mode):
+    invariants_module = importlib.import_module("trivec.invariants")
+    if label.startswith("embedded"):
+        p = AltTensor(8, 3, dict(_report_state(7, "X", mode).masks()))
+    else:
+        # Gaussian-rational eight-mode covariants of a moved state are slow
+        p = _report_state(dim, label, mode, moved=dim == 7 or mode != "gaussian")
+    name = "seven_j" if dim == 7 else "eight_i"
+    arith = "float" if mode == "float" else "rational"
+    want = _format_scalar(getattr(invariants_module, name)(p), arith)
+    calls = Counter()
+
+    def counted(where, fn):
+        def wrapper(*args, **kwargs):
+            calls[where] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fname in ("seven_j", "eight_i"):
+        monkeypatch.setattr(trivec.cli, fname,
+                            counted("cli", getattr(invariants_module, fname)),
+                            raising=False)
+    monkeypatch.setattr(classify_module, name,
+                        counted("classify", getattr(classify_module, name)))
+    report = build_report(p, arith)
+    assert calls == {"classify": 1}
+    field = report["invariants"][name]
     assert (field["re"], field["im"]) == want
 
 
