@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 
 from .covariants import (eight_covariants, first_order_map, k_matrix_6,
                          kappa_map, seven_covariants)
-from .exterior import AltTensor, GroupElement, slocc_apply, tuple_of
+from .exterior import (AltTensor, GroupElement, mask_of, merge_sign,
+                       slocc_apply, tuple_of)
 from .invariants import (DELTA_DEGREES, J_DEGREES, dual_trivector, eight_i,
                          invariant_is_zero, nine_deltas, nine_js_scaled,
                          quartic_d, seven_j, _exact_ratio, _integer_rescale)
@@ -127,27 +128,46 @@ def _on_integer_rescale(classifier):
 # Pluecker relations
 
 
+@functools.lru_cache(maxsize=None)
+def _plucker_plan(dim: int, k: int):
+    """Per residual, ((A, B), terms) with one term (mask of A + (j,), mask of
+    B - j, negate) for each j of B in order; j in A gives a zero component
+    and no term.  ``negate`` is the sign of sorting A + (j,) times (-1)^n."""
+    plan = []
+    rng = range(1, dim + 1)
+    for a_set in itertools.combinations(rng, k - 1):
+        ma = mask_of(a_set)
+        for b_set in itertools.combinations(rng, k + 1):
+            mb = mask_of(b_set)
+            terms = []
+            for n, j in enumerate(b_set):
+                mj = 1 << (j - 1)
+                if not ma & mj:
+                    terms.append((ma | mj, mb ^ mj,
+                                  (merge_sign(ma, mj) < 0) != (n % 2 == 1)))
+            plan.append(((a_set, b_set), terms))
+    return plan
+
+
 def plucker_residuals(p: AltTensor):
     """All residuals Pi_{A,B} over (k-1)- and (k+1)-index subsets.
 
+    Pi_{A,B} = sum_n (-1)^n P_{A j_n} P_{B - j_n} over the entries j_n of B.
     A three-form is a single Slater determinant exactly when every residual
     vanishes.
     """
-    k = p.degree
+    amp = p.masks()
     out = []
-    rng = range(1, p.dim + 1)
-    for a_set in itertools.combinations(rng, k - 1):
-        for b_set in itertools.combinations(rng, k + 1):
-            total = 0
-            for n, j in enumerate(b_set):
-                rest = b_set[:n] + b_set[n + 1:]
-                x = p.component(a_set + (j,))
-                if x:
-                    y = p.component(rest)
-                    if y:
-                        term = x * y
-                        total = total + (term if n % 2 == 0 else -term)
-            out.append(((a_set, b_set), total))
+    for key, terms in _plucker_plan(p.dim, p.degree):
+        total = 0
+        for mx, my, negate in terms:
+            x = amp.get(mx)
+            if x:
+                y = amp.get(my)
+                if y:
+                    term = x * y
+                    total = total - term if negate else total + term
+        out.append((key, total))
     return out
 
 

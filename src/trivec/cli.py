@@ -24,6 +24,7 @@ Exit codes: 0 classified, 2 input error, 3 unclassified.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -454,8 +455,15 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process; parsing leaves it as
+    it was."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -84,8 +84,9 @@ def kappa_map(p: AltTensor, degrees) -> ExtLinearMap:
         raise ValueError("covariant degree constraint violated")
     rows = SubsetIndexer(n, out_deg)
     unit = complex(1) if p.mode == "float" else 1
-    basis = [[AltTensor(n, l, {m: unit}) for m in SubsetIndexer(n, l).masks]
-             for l in degrees]
+    # one contraction i_beta P per basis element and slot, as (mask, i_beta P)
+    contracted = [[(m, interior(AltTensor(n, l, {m: unit}), p))
+                   for m in SubsetIndexer(n, l).masks] for l in degrees]
     col_keys = []
     columns = []
 
@@ -95,10 +96,9 @@ def kappa_map(p: AltTensor, degrees) -> ExtLinearMap:
             col_keys.append(key)
             columns.append(w)
             return
-        for beta in basis[slot]:
-            contracted = interior(beta, p)
-            nxt = contracted if partial is None else wedge(partial, contracted)
-            descend(slot + 1, key + (next(iter(beta.masks())),), nxt)
+        for m, c in contracted[slot]:
+            nxt = c if partial is None else wedge(partial, c)
+            descend(slot + 1, key + (m,), nxt)
 
     descend(0, (), None)
     mat = [[col.masks().get(rm, 0) for col in columns] for rm in rows.masks]
@@ -242,20 +242,25 @@ def seven_covariants(p: AltTensor) -> SevenCovariants:
     m_map = kappa_map(p, (1,))
     nm = bilinear_form_matrix(kappa_map(p, (1, 1)))
     cov = SevenCovariants(m_map, nm, [], [])
-    mc = cov.m_component
+    # mc[a][b][c] = m_component(a + 1, b + 1, c + 1), sign-extended once
+    mc = [[[0] * 7 for _ in range(7)] for _ in range(7)]
+    for mmask, row in zip(m_map.row_subsets.masks, m_map.matrix):
+        a, b = tuple_of(mmask)
+        mc[a - 1][b - 1] = row
+        mc[b - 1][a - 1] = [-v for v in row]
     lm = [[0] * 7 for _ in range(7)]
-    for a in range(1, 8):
-        for b in range(a, 8):
+    for a in range(7):
+        for b in range(a, 7):
             v = 0
-            for c in range(1, 8):
-                for d in range(1, 8):
-                    x = mc(a, c, d)
+            for c in range(7):
+                for d in range(7):
+                    x = mc[a][c][d]
                     if x:
-                        y = mc(b, d, c)
+                        y = mc[b][d][c]
                         if y:
                             v = v + x * y
-            lm[a - 1][b - 1] = v
-            lm[b - 1][a - 1] = v
+            lm[a][b] = v
+            lm[b][a] = v
     cov.l_matrix = lm
     if p.mode == "float":
         cov.b_matrix = [[-x / 6 for x in row] for row in nm]

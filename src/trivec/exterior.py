@@ -22,6 +22,7 @@ operations refuse to mix the two modes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -45,11 +46,13 @@ def tuple_of(mask: int) -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=3 ** 9)
 def merge_sign(a: int, b: int) -> int:
     """Sign of sorting the concatenation of two disjoint sorted index sets.
 
     Counts the pairs (x in a, y in b) with x > y; this is the number of
-    transpositions needed to merge the two sorted blocks.
+    transpositions needed to merge the two sorted blocks.  Cached: nine
+    modes have 3^9 pairs of disjoint masks.
     """
     s = 0
     bb = b
@@ -623,7 +626,7 @@ def _simplify_exact(t: AltTensor) -> AltTensor:
     """Divide out powers of two and drop zero imaginary parts."""
     def half_ok(v):
         v = v if isinstance(v, GaussianRational) else _gq(v)
-        return (v.re / 2).denominator == 1 and (v.im / 2).denominator == 1
+        return Fraction(v.re, 2).denominator == 1 and Fraction(v.im, 2).denominator == 1
 
     while not t.is_zero() and all(half_ok(v) for v in t._c.values()):
         t = t.scale(Fraction(1, 2))

@@ -30,19 +30,36 @@ from fractions import Fraction
 _EXACT_TYPES = (int, Fraction)
 
 
+def _part(x):
+    """A real exact scalar in the part normal form: ``int`` when integral."""
+    if type(x) is int:
+        return x
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(x, n):
+    """x / n for exact reals; ``int`` when it divides, never a float."""
+    if type(x) is int and type(n) is int:
+        q, r = divmod(x, n)
+        return Fraction(x, n) if r else q
+    return _part(x / n)
+
+
 class GaussianRational:
     """Complex number with exact rational real and imaginary parts.
 
-    Parts are stored as ``Fraction`` in lowest terms with positive
-    denominator (the ``Fraction`` normal form).  Operations accept ``int``
-    and ``Fraction`` operands; floats and complexes are rejected.
+    Each part is an ``int`` when it is integral and a ``Fraction`` (lowest
+    terms, positive denominator) otherwise, so Gaussian integers run on
+    machine integers.  Operations accept ``int`` and ``Fraction`` operands;
+    floats and complexes are rejected.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = re if type(re) is int else _part(re)
+        self.im = im if type(im) is int else _part(im)
 
     @staticmethod
     def _coerce(x):
@@ -88,8 +105,8 @@ class GaussianRational:
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational((self.re * o.re + self.im * o.im) / n,
-                                (self.im * o.re - self.re * o.im) / n)
+        return GaussianRational(_quotient(self.re * o.re + self.im * o.im, n),
+                                _quotient(self.im * o.re - self.re * o.im, n))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -137,7 +154,7 @@ class GaussianRational:
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 
-    def norm_sq(self) -> Fraction:
+    def norm_sq(self) -> int | Fraction:
         return self.re * self.re + self.im * self.im
 
     def to_complex(self) -> complex:
@@ -327,16 +344,18 @@ def row_reduce(m, floor: float = 0.0):
     return a, pivots, det
 
 
-def _abs_sq_sum(v):
+def _abs_sq_sum(v, real=False):
+    if real:
+        return sum(map(operator.mul, v, v))
     return sum(z.real * z.real + z.imag * z.imag for z in v)
 
 
 def _pivoted_qr_diagonal(m):
     """(|R_kk| in pivot order, noise floor) of Householder QR with pivoting.
 
-    Businger-Golub column pivoting on the complex entries: at step k the
-    remaining column of largest norm is moved to position k and reflected
-    onto a multiple of e_k.  The pivots make |R_11| >= |R_22| >= ... reveal
+    Businger-Golub column pivoting on the complex entries, or on floats when
+    every imaginary part is zero: at step k the remaining column of largest
+    norm is moved to position k and reflected onto a multiple of e_k.  The pivots make |R_11| >= |R_22| >= ... reveal
     the rank without squaring the matrix, so ratios down to about machine
     epsilon are resolved.  A wide matrix is factored through its transpose,
     which has the same rank; the columns are then the longer vectors.  The
@@ -348,8 +367,20 @@ def _pivoted_qr_diagonal(m):
         return [], 0.0
     vectors = zip(*m) if nr >= nc else m
     cols = [[to_complex(x) for x in v] for v in vectors]
+    # a real matrix is factored on floats: in complex arithmetic every
+    # imaginary part would stay zero, so each |R_kk| comes out the same
+    real = not any(z.imag for c in cols for z in c)
+    if real:
+        cols = [[z.real for z in c] for c in cols]
+    diag = _householder_diagonal(cols, real)
+    return diag, 16 * max(nr, nc) * sys.float_info.epsilon * diag[0]
+
+
+def _householder_diagonal(cols, real):
+    """|R_kk| of the pivoted QR of the columns ``cols``, reduced in place;
+    ``real`` says that they hold floats rather than complexes."""
     length, n = len(cols[0]), len(cols)
-    norms = [_abs_sq_sum(c) for c in cols]
+    norms = [_abs_sq_sum(c, real) for c in cols]
     # squared norms at their last exact evaluation; a downdated norm that
     # has lost most of its size to cancellation is evaluated afresh (LAPACK
     # xGEQP3 does the same)
@@ -362,7 +393,7 @@ def _pivoted_qr_diagonal(m):
         norms[k], norms[p] = norms[p], norms[k]
         fresh[k], fresh[p] = fresh[p], fresh[k]
         x = cols[k][k:]
-        xnorm = math.sqrt(_abs_sq_sum(x))
+        xnorm = math.sqrt(_abs_sq_sum(x, real))
         if xnorm == 0.0:
             break  # the pivot has the largest norm: every remaining column is 0
         diag.append(xnorm)
@@ -371,7 +402,7 @@ def _pivoted_qr_diagonal(m):
         # reflector I - v v^H / (xnorm (xnorm + |alpha|)) with
         # v = x + phase xnorm e_1 maps x to -phase xnorm e_1
         v = [alpha + phase * xnorm] + x[1:]
-        vh = [z.conjugate() for z in v]
+        vh = v if real else [z.conjugate() for z in v]
         inv = 1.0 / (xnorm * (xnorm + abs(alpha)))
         for j in range(k + 1, n):
             c = cols[j]
@@ -379,12 +410,13 @@ def _pivoted_qr_diagonal(m):
             f = sum(map(operator.mul, vh, tail)) * inv
             if f:
                 c[k:] = [a - f * b for a, b in zip(tail, v)]
-            t = norms[j] - (c[k].real * c[k].real + c[k].imag * c[k].imag)
+            ck = c[k]
+            t = norms[j] - (ck * ck if real else ck.real * ck.real + ck.imag * ck.imag)
             if t <= recompute * fresh[j]:
-                t = fresh[j] = _abs_sq_sum(c[k + 1:])
+                t = fresh[j] = _abs_sq_sum(c[k + 1:], real)
             norms[j] = t
     diag.extend([0.0] * (min(length, n) - len(diag)))
-    return diag, 16 * max(nr, nc) * sys.float_info.epsilon * diag[0]
+    return diag
 
 
 def float_rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCE):

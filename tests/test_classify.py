@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -57,6 +58,41 @@ def test_classify6_real_split():
     assert classify6_real(minus.to_float()).label == "GHZ-"
     with pytest.raises(ValueError):
         classify6_real(AltTensor.from_terms(6, 3, [((1, 2, 3), 1j)]))
+
+
+def _plucker_by_components(p):
+    """Pi_{A,B} = sum_n (-1)^n P_{A j_n} P_{B - j_n}, through ``component``."""
+    k = p.degree
+    out = []
+    rng = range(1, p.dim + 1)
+    for a_set in itertools.combinations(rng, k - 1):
+        for b_set in itertools.combinations(rng, k + 1):
+            total = 0
+            for n, j in enumerate(b_set):
+                rest = b_set[:n] + b_set[n + 1:]
+                x = p.component(a_set + (j,))
+                if x:
+                    y = p.component(rest)
+                    if y:
+                        term = x * y
+                        total = total + (term if n % 2 == 0 else -term)
+            out.append(((a_set, b_set), total))
+    return out
+
+
+@pytest.mark.parametrize("dim", [6, 7, 8])
+def test_plucker_residuals_equal_the_component_sum(dim):
+    rng = random.Random(dim)
+    z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    for _ in range(3):
+        p = random_state(dim, rng, density=0.3, bound=3)
+        q = slocc_apply(random_invertible(dim, rng.randrange(10 ** 6)),
+                        e(dim, 1, 2, 3) + e(dim, 1, 4, 5))
+        for state in (p, p.to_float(), q, q.to_float(),
+                      AltTensor(dim, 3, {m: v * z for m, v in q.masks().items()})):
+            assert plucker_residuals(state) == _plucker_by_components(state)
+    assert all(not v for _, v in plucker_residuals(slocc_apply(
+        random_invertible(dim, 3), e(dim, 1, 2, 3))))
 
 
 def test_classify7_table_rows():

@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -461,3 +464,39 @@ def test_rdm_pinning_label_is_the_class_label(tmp_path, capsys):
         assert code == 0
         pinning = json.loads(out)["pinning"]
         assert pinning["class_label"] == classify(p).label == label
+
+
+def test_repeated_main_calls_match_fresh_runs(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; a run of different commands,
+    # errors among them, must answer as a fresh interpreter does each time
+    monkeypatch.setenv("COLUMNS", "80")
+    ghz = write_state(tmp_path, "ghz.json", ghz_doc())
+    seven = write_state(tmp_path, "seven.json",
+                        state_document(canonical_state(7, "IX"), "rational"))
+    float8 = write_state(tmp_path, "float8.json",
+                         state_document(canonical_state(8, "XV").to_float(), "float"))
+    runs = [
+        ["classify", "--input", ghz],
+        ["rdm", "--input", seven],
+        ["classify"],
+        ["classify", "--input", ghz, "--real"],
+        ["classify", "--input", float8, "--mode", "exact"],
+        ["classify", "--input", seven],
+        ["canonical", "--dim", "7", "--class", "IV"],
+        ["frobnicate"],
+        ["random", "--slocc-of", seven, "--seed", "3"],
+        ["classify", "--input", str(tmp_path / "missing.json")],
+        ["rdm", "--input", float8],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(trivec.cli.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = (code, *capsys.readouterr())
+        fresh = subprocess.run([sys.executable, "-m", "trivec.cli"] + argv,
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv

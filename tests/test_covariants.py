@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import trivec.covariants
 from trivec.covariants import (bilinear_form_matrix, dual_trivector,
                                eight_covariants, first_order_map,
                                freudenthal_dual, k_matrix_6, kappa_map,
@@ -135,6 +137,55 @@ def test_seven_covariants_on_calibration():
     for b in range(1, 7):
         for c in range(1, 7):
             assert cov.m_component(7, b, c) == k[b - 1][c - 1]
+
+
+def _seven_mode_states():
+    z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    out = []
+    for label in ("II", "IV", "VII", "IX", "X"):
+        p = canonical_state(7, label)
+        moved = slocc_apply(random_unimodular(7, 5), p)
+        out += [p, moved, moved.to_float(),
+                AltTensor(7, 3, {m: v * z for m, v in moved.masks().items()})]
+    return out + [random_rational_state(7, 71)]
+
+
+def test_l_matrix_equals_the_m_component_sum():
+    # L^{ab} = L^{ba} = sum_{c,d} (M^a)^c_d (M^b)^d_c for a <= b, summed in
+    # the order of the definition
+    for p in _seven_mode_states():
+        cov = seven_covariants(p)
+        mc = cov.m_component
+        want = [[0] * 7 for _ in range(7)]
+        for a in range(1, 8):
+            for b in range(a, 8):
+                v = 0
+                for c in range(1, 8):
+                    for d in range(1, 8):
+                        x = mc(a, c, d)
+                        if x:
+                            y = mc(b, d, c)
+                            if y:
+                                v = v + x * y
+                want[a - 1][b - 1] = want[b - 1][a - 1] = v
+        assert cov.l_matrix == want
+
+
+@pytest.mark.parametrize("dim,degrees", [(6, (1,)), (6, (2,)), (7, (1,)),
+                                         (7, (1, 1)), (8, (1, 1)), (8, (2,))])
+def test_kappa_map_contracts_each_basis_element_once_per_slot(monkeypatch, dim, degrees):
+    calls = []
+    original = trivec.covariants.interior
+
+    def counted(alpha, p):
+        calls.append(alpha)
+        return original(alpha, p)
+
+    p = random_state(dim, 40 + dim, density=0.5)
+    want = kappa_map(p, degrees).matrix
+    monkeypatch.setattr(trivec.covariants, "interior", counted)
+    assert kappa_map(p, degrees).matrix == want
+    assert len(calls) == sum(math.comb(dim, l) for l in degrees)
 
 
 def test_seven_covariant_ranks_match_embedded_sep():

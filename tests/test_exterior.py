@@ -272,6 +272,23 @@ def test_complex_basis_expansion():
     assert ghz_c == want
 
 
+def test_simplify_exact_on_int_parts():
+    from trivec.exterior import _simplify_exact
+    t = AltTensor(7, 3, {0b111: GaussianRational(4, -8), 0b1011: GaussianRational(12),
+                         0b1101: 8, 0b10011: Fraction(-4)})
+    s = _simplify_exact(t)
+    # divided by 4 (the parts 1 and -2 stop it) with zero imaginary parts dropped
+    assert s.masks() == {0b111: GaussianRational(1, -2), 0b1011: 3, 0b1101: 2,
+                         0b10011: -1}
+    assert all(type(v) is int for m, v in s.masks().items() if m != 0b111)
+    assert _simplify_exact(AltTensor(7, 3, {0b111: GaussianRational(Fraction(1, 2), 2)})) \
+        == AltTensor(7, 3, {0b111: GaussianRational(Fraction(1, 2), 2)})
+    for label in ("II", "IV", "VII", "X"):
+        for v in canonical_state(7, label).masks().values():
+            parts = (v.re, v.im) if isinstance(v, GaussianRational) else (v,)
+            assert all(type(x) is int for x in parts), (label, v)
+
+
 def test_semisimple_state_building_blocks():
     qs = [nine_q(i) for i in range(1, 5)]
     # the twelve monomials are disjoint

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from trivec.exterior import GroupElement
+from trivec.covariants import t_matrix_rows
+from trivec.exterior import GroupElement, canonical_state
 from trivec.oracle import random_invertible
-from trivec.scalars import (GaussianRational, TolerancePolicy, determinant,
-                            float_rank, hermitian_eigensystem,
+from trivec.scalars import (GaussianRational, TolerancePolicy,
+                            _householder_diagonal, _pivoted_qr_diagonal,
+                            determinant, float_rank, hermitian_eigensystem,
                             hermitian_eigenvalues, pfaffian, rank, row_reduce)
 
 
@@ -38,6 +40,52 @@ def test_mixed_mode_arithmetic_is_an_error():
         a * 1j
     with pytest.raises(TypeError):
         0.5 + a
+
+
+def test_gaussian_parts_are_ints_when_integral():
+    a = GaussianRational(Fraction(4, 2), Fraction(-3))
+    assert type(a.re) is int and type(a.im) is int and (a.re, a.im) == (2, -3)
+    half = GaussianRational(Fraction(1, 2), 1)
+    assert type(half.re) is Fraction and type(half.im) is int
+    # Gaussian-integer arithmetic stays on ints
+    b = GaussianRational(1, 2) * GaussianRational(3, -1) + 4 - GaussianRational(0, 1)
+    assert (b.re, b.im) == (9, 4) and type(b.re) is int and type(b.im) is int
+    # a Fraction result that comes out integral becomes an int
+    c = half * 2 + Fraction(1, 2) - Fraction(1, 2)
+    assert (c.re, c.im) == (1, 2) and type(c.re) is int
+    assert type(half.norm_sq()) is Fraction and type(b.norm_sq()) is int
+    assert type((b ** 3).re) is int
+
+
+def test_gaussian_division_is_exact_in_z_i():
+    z = GaussianRational(5, 5) / GaussianRational(1, 2)
+    assert (z.re, z.im) == (3, -1) and type(z.re) is int and type(z.im) is int
+    w = GaussianRational(1, 0) / GaussianRational(1, 1)
+    assert (w.re, w.im) == (Fraction(1, 2), Fraction(-1, 2))
+    assert type(w.re) is Fraction and type(w.im) is Fraction
+    q = GaussianRational(6, 3) / 3
+    assert (q.re, q.im) == (2, 1) and type(q.re) is int
+    r = GaussianRational(7, 3) / 2
+    assert (r.re, r.im) == (Fraction(7, 2), Fraction(3, 2))
+    assert 1 / GaussianRational(0, 2) == GaussianRational(0, Fraction(-1, 2))
+    assert GaussianRational(Fraction(1, 3), 1) / Fraction(1, 3) == GaussianRational(1, 3)
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(1, 1) / GaussianRational(0)
+
+
+def test_gaussian_equality_hash_and_str_do_not_see_the_part_type():
+    # the same values as the Fraction parts every GaussianRational once had
+    for re, im in ((3, 4), (3, -4), (Fraction(1, 2), 1), (0, Fraction(-2, 3)),
+                   (5, 0), (0, 0)):
+        z = GaussianRational(re, im)
+        old = (Fraction(re), Fraction(im))
+        assert z == GaussianRational(*old)
+        assert hash(z) == (hash(old[0]) if not im else hash(old))
+        sign = "+" if old[1] >= 0 else ""
+        assert str(z) == (str(old[0]) if not im else f"({old[0]}{sign}{old[1]}i)")
+    assert GaussianRational(5) == 5 == Fraction(5)
+    assert hash(GaussianRational(5)) == hash(5) == hash(Fraction(5))
+    assert {GaussianRational(Fraction(5)): 1}[5] == 1
 
 
 def test_tolerance_policy_validation():
@@ -119,6 +167,34 @@ def test_float_rank_margins():
     # a wide matrix has the rank of its transpose
     wide = [[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0 + 1e-6j]]
     assert rank(wide) == rank([list(col) for col in zip(*wide)]) == 2
+
+
+def _real_matrices():
+    rng = random.Random(17)
+    out = []
+    for nr, nc, r in ((6, 6, 6), (9, 5, 3), (4, 11, 2), (12, 12, 7)):
+        a = [[rng.gauss(0, 1) for _ in range(r)] for _ in range(nr)]
+        b = [[rng.gauss(0, 1) for _ in range(nc)] for _ in range(r)]
+        out.append([[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(nc)]
+                    for i in range(nr)])
+    for fam, params in ((1, (1, 2, 4, 8)), (4, (1, 2))):
+        p = canonical_state(9, f"family{fam}", params).to_float()
+        out.append(t_matrix_rows(p))
+    return out
+
+
+def test_pivoted_qr_on_real_floats_matches_the_complex_kernel():
+    # a real matrix is factored on floats; the complex kernel on the same
+    # entries keeps every imaginary part zero and gives the same |R_kk| (the
+    # float and complex sums add in the same order, as sum() does up to
+    # CPython 3.11)
+    for m in _real_matrices():
+        diag, _ = _pivoted_qr_diagonal(m)
+        assert all(type(d) is float for d in diag)
+        vectors = zip(*m) if len(m) >= len(m[0]) else m
+        cols = [[complex(x) for x in v] for v in vectors]
+        assert _householder_diagonal(cols, False) == diag
+        assert _pivoted_qr_diagonal([[complex(x) for x in row] for row in m])[0] == diag
 
 
 def test_determinant_anchors():
