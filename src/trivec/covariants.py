@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import (AltTensor, SubsetIndexer, interior, mask_of,
-                       merge_sign, star, tuple_of, wedge)
+                       merge_sign, tuple_of, wedge_terms)
 from .scalars import (DEFAULT_TOLERANCE, GaussianRational, TolerancePolicy,
                       rank as matrix_rank)
 
@@ -84,25 +84,63 @@ def kappa_map(p: AltTensor, degrees) -> ExtLinearMap:
         raise ValueError("covariant degree constraint violated")
     rows = SubsetIndexer(n, out_deg)
     unit = complex(1) if p.mode == "float" else 1
-    # one contraction i_beta P per basis element and slot, as (mask, i_beta P)
-    contracted = [[(m, interior(AltTensor(n, l, {m: unit}), p))
+    # one contraction i_beta P per basis element and slot, as (mask, its
+    # nonzero components)
+    contracted = [[(m, interior(AltTensor(n, l, {m: unit}), p).masks())
                    for m in SubsetIndexer(n, l).masks] for l in degrees]
+    full = (1 << n) - 1
+    # (row mask, mask of its complement, whether star negates that row)
+    duals = [(rm, full ^ rm, merge_sign(rm, full ^ rm) < 0) for rm in rows.masks]
     col_keys = []
     columns = []
 
     def descend(slot, key, partial):
         if slot == len(degrees):
-            w = star(wedge(partial, p)) if partial is not None else star(p)
+            w = p.masks() if partial is None else _wedge_with(partial, p)
             col_keys.append(key)
-            columns.append(w)
+            columns.append([(-v if negate else v) if (v := w.get(m)) else 0
+                            for rm, m, negate in duals])
             return
         for m, c in contracted[slot]:
-            nxt = c if partial is None else wedge(partial, c)
+            if partial is None:
+                nxt = c
+            else:
+                nxt = {mw: v for mw, v in wedge_terms(partial, c).items() if v}
             descend(slot + 1, key + (m,), nxt)
 
     descend(0, (), None)
-    mat = [[col.masks().get(rm, 0) for col in columns] for rm in rows.masks]
+    mat = [list(row) for row in zip(*columns)]
     return ExtLinearMap(n, degrees, out_deg, 1, rows, col_keys, mat)
+
+
+@functools.lru_cache(maxsize=None)
+def _submasks(free: int, k: int) -> tuple:
+    """The k-element submasks of ``free``."""
+    bits = [1 << i for i in range(free.bit_length()) if free >> i & 1]
+    return tuple(map(sum, itertools.combinations(bits, k)))
+
+
+def _wedge_with(ac: dict, p: AltTensor) -> dict:
+    """Components of the wedge of the coefficients ``ac`` with p, zeros kept.
+
+    As in ``wedge_terms``, each component sums its terms in the order of
+    ``ac``.  A term of ``ac`` meets only the masks of p disjoint from it, so
+    those are looked up instead of scanned.
+    """
+    full = (1 << p.dim) - 1
+    pc = p.masks()
+    c = {}
+    for ma, va in ac.items():
+        for mb in _submasks(full ^ ma, p.degree):
+            vb = pc.get(mb)
+            if vb is not None:
+                m = ma | mb
+                term = va * vb
+                if merge_sign(ma, mb) < 0:
+                    term = -term
+                cur = c.get(m)
+                c[m] = term if cur is None else cur + term
+    return c
 
 
 def bilinear_form_matrix(kmap: ExtLinearMap) -> list:
@@ -282,10 +320,45 @@ class EightCovariants:
     g_matrix: list           # 8 x 8 symmetric, degree 6
     h_matrix: list           # 8 x 8 symmetric, degree 10
     fe_matrix: list          # 28 x 8 traced composite, degree 5
-    _f_cols: dict = None
 
-    def f_component(self, a: int, b1: int, b2: int):
-        return self.f_map.matrix[a - 1][self._f_cols[(1 << (b1 - 1), 1 << (b2 - 1))]]
+
+_PAIRS8 = list(itertools.combinations(range(8), 2))
+_NPHI = len(_PAIRS8) * 64  # keys of Phi^a
+
+
+@functools.lru_cache(maxsize=None)
+def _eight_tables():
+    """Index tables of the eight-mode contractions, built on first use.
+
+    A Phi entry Phi^{a,kl}_{ij} (0-based, k < l) is keyed by the int
+    (kl * 8 + i) * 8 + j, with kl the position of (k, l) in ``_PAIRS8``.
+    ``e_rows[c]`` lists, for each triple row of E that holds c and in row
+    order, ``(row, kl, negate)``: the rest pair of the row and whether
+    merge_sign(c, kl) is negative.  ``swap[key]`` indexes the signed rows
+    built in ``eight_covariants``: key' for Phi^{b,ij}_{kl} with (i, j)
+    sorted, key' + _NPHI for its negative when i > j, and 2 * _NPHI (never
+    set) when i == j.
+    """
+    pair_pos = {pr: n for n, pr in enumerate(_PAIRS8)}
+    e_rows = []
+    for c in range(8):
+        rows = []
+        for row, mrow in enumerate(SubsetIndexer(8, 3).masks):
+            if mrow >> c & 1:
+                rest = mrow ^ (1 << c)
+                k, l = (x - 1 for x in tuple_of(rest))
+                rows.append((row, pair_pos[(k, l)], merge_sign(1 << c, rest) < 0))
+        e_rows.append(rows)
+    swap = []
+    for kl, (k, l) in enumerate(_PAIRS8):
+        for i in range(8):
+            for j in range(8):
+                if i == j:
+                    swap.append(2 * _NPHI)
+                else:
+                    ij = pair_pos[(min(i, j), max(i, j))]
+                    swap.append((ij * 8 + k) * 8 + l + (_NPHI if i > j else 0))
+    return e_rows, swap
 
 
 def eight_covariants(p: AltTensor) -> EightCovariants:
@@ -301,76 +374,85 @@ def eight_covariants(p: AltTensor) -> EightCovariants:
     f_map = kappa_map(p, (1, 1))
     e_map = kappa_map(p, (1,))
     cov = EightCovariants(f_map, e_map, [], [], [])
-    cov._f_cols = {key: i for i, key in enumerate(f_map.col_keys)}
-    F = cov.f_component
-    rng = range(1, 9)
+    fm, em = f_map.matrix, e_map.matrix
+    e_rows, swap = _eight_tables()
+    r8 = range(8)
 
-    # sparse views keyed by index tuples, skipping zeros
-    f_items = []
-    for a in rng:
-        for (m1, m2), col in cov._f_cols.items():
-            v = f_map.matrix[a - 1][col]
-            if v:
-                f_items.append((a, tuple_of(m1)[0], tuple_of(m2)[0], v))
-
-    g = [[0] * 8 for _ in range(8)]
-    for a in rng:
-        for b in range(a, 9):
+    # G_ab = sum_{c,d} F^c_{ad} F^d_{bc}
+    g = [[0] * 8 for _ in r8]
+    for a in r8:
+        for b in range(a, 8):
             v = 0
-            for c in rng:
-                for d in rng:
-                    x = F(c, a, d)
+            for c in r8:
+                fc = fm[c]
+                for d in r8:
+                    x = fc[8 * a + d]
                     if x:
-                        y = F(d, b, c)
+                        y = fm[d][8 * b + c]
                         if y:
                             v = v + x * y
-            g[a - 1][b - 1] = v
-            g[b - 1][a - 1] = v
+            g[a][b] = v
+            g[b][a] = v
     cov.g_matrix = g
 
-    # Phi^{a,kl}_{ij} = sum_c F^a_{ci} E^{ckl}_j, stored sparsely
-    phi = {}
-    for (a, c, i, v) in f_items:
-        erow_base = e_map.matrix
-        for mrow, rowpos in e_map.row_subsets.position.items():
-            if not (mrow >> (c - 1)) & 1:
-                continue
-            rest = mrow ^ (1 << (c - 1))
-            k_, l_ = tuple_of(rest)
-            s = merge_sign(1 << (c - 1), rest)
-            for j in rng:
-                ev = erow_base[rowpos][j - 1]
-                if ev:
-                    term = v * ev if s > 0 else -(v * ev)
-                    key = (a, k_, l_, i, j)
-                    cur = phi.get(key)
-                    phi[key] = term if cur is None else cur + term
-    phi = {k: v for k, v in phi.items() if v}
+    # phi[a][key] = Phi^{a,kl}_{ij} = sum_c F^a_{ci} E^{ckl}_j over c in
+    # ascending order, nonzero entries only; each dict keeps its keys in the
+    # order of their first term, which fixes the order of the sums below
+    e_nonzero = [[(j, ev) for j, ev in enumerate(row) if ev] for row in em]
+    phi = []
+    for a in r8:
+        fa = fm[a]
+        acc = [None] * _NPHI
+        first = []
+        for c in r8:
+            rows = e_rows[c]
+            for i in r8:
+                v = fa[8 * c + i]
+                if not v:
+                    continue
+                for row, kl, negate in rows:
+                    base = (kl * 8 + i) * 8
+                    for j, ev in e_nonzero[row]:
+                        term = -(v * ev) if negate else v * ev
+                        key = base + j
+                        cur = acc[key]
+                        if cur is None:
+                            acc[key] = term
+                            first.append(key)
+                        else:
+                            acc[key] = cur + term
+        phi.append({key: acc[key] for key in first if acc[key]})
 
-    # Phi keys store the upper pair sorted; the lookup below sign-extends it.
-    # Summing over sorted upper pairs only halves the full contraction, hence
-    # the factor two.
-    h = [[0] * 8 for _ in range(8)]
-    for (a, k_, l_, i, j), v in phi.items():
-        for b in rng:
-            if i < j:
-                w = phi.get((b, i, j, k_, l_))
-            elif i > j:
-                w = phi.get((b, j, i, k_, l_))
+    # H_ab = sum Phi^{a,kl}_{ij} Phi^{b,ij}_{kl}, the upper pair
+    # sign-extended.  Summing over sorted upper pairs only halves the full
+    # contraction, hence the factor two.  signed[b][swap[key]] is the
+    # signed Phi^b entry that pairs with key, None where Phi^b has none.
+    signed = []
+    for b in r8:
+        sb = [None] * (2 * _NPHI + 1)
+        for key, w in phi[b].items():
+            sb[key] = w
+            sb[key + _NPHI] = -w
+        signed.append(sb)
+    h = []
+    for a in r8:
+        vs = list(phi[a].values())
+        pos = list(map(swap.__getitem__, phi[a]))
+        ha = []
+        for sb in signed:
+            t = 0
+            for v, w in zip(vs, map(sb.__getitem__, pos)):
                 if w is not None:
-                    w = -w
-            else:
-                w = None
-            if w is not None:
-                h[a - 1][b - 1] = h[a - 1][b - 1] + 2 * (v * w)
+                    t = t + 2 * (v * w)
+            ha.append(t)
+        h.append(ha)
     cov.h_matrix = h
 
-    pairs = list(itertools.combinations(rng, 2))
-    fe = [[0] * 8 for _ in pairs]
-    pair_pos = {pr: n for n, pr in enumerate(pairs)}
-    for (a, k_, l_, i, j), v in phi.items():
-        if j == a:
-            fe[pair_pos[(k_, l_)]][i - 1] += v
+    fe = [[0] * 8 for _ in _PAIRS8]
+    for a in r8:
+        for key, v in phi[a].items():
+            if key % 8 == a:
+                fe[key // 64][key // 8 % 8] += v
     cov.fe_matrix = fe
     return cov
 

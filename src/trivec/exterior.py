@@ -283,9 +283,17 @@ def wedge(a: AltTensor, b: AltTensor) -> AltTensor:
         raise ValueError("wedge degree exceeds dimension")
     if a.mode and b.mode and a.mode != b.mode:
         raise TypeError("mixed exact and float tensors")
+    return AltTensor(a.dim, a.degree + b.degree, wedge_terms(a._c, b._c))
+
+
+def wedge_terms(ac: dict, bc: dict) -> dict:
+    """Components of the wedge of two coefficient dicts, zeros kept.
+
+    Each component sums its terms in the order of ``ac``, then of ``bc``.
+    """
     c = {}
-    for ma, va in a._c.items():
-        for mb, vb in b._c.items():
+    for ma, va in ac.items():
+        for mb, vb in bc.items():
             if ma & mb:
                 continue
             m = ma | mb
@@ -294,7 +302,7 @@ def wedge(a: AltTensor, b: AltTensor) -> AltTensor:
                 term = -term
             cur = c.get(m)
             c[m] = term if cur is None else cur + term
-    return AltTensor(a.dim, a.degree + b.degree, c)
+    return c
 
 
 def interior(alpha: AltTensor, p: AltTensor) -> AltTensor:

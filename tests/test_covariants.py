@@ -11,10 +11,12 @@ from trivec.covariants import (bilinear_form_matrix, dual_trivector,
                                freudenthal_dual, k_matrix_6, kappa_map,
                                matmul, seven_covariants, t_map,
                                t_power_trace, t_power_traces, t_matrix_rows)
-from trivec.exterior import (AltTensor, canonical_state, mask_of,
-                             merge_sign, nine_q, slocc_apply, split_seven)
+from trivec.exterior import (AltTensor, SubsetIndexer, canonical_state,
+                             interior, mask_of, merge_sign, nine_q,
+                             slocc_apply, split_seven, star, tuple_of, wedge)
 from trivec.invariants import quartic_d
-from trivec.oracle import (random_rational_state, random_state,
+from trivec.oracle import (random_complex_state, random_invertible,
+                           random_rational_state, random_state,
                            random_unimodular)
 from trivec.scalars import GaussianRational, pfaffian, rank
 
@@ -186,6 +188,115 @@ def test_kappa_map_contracts_each_basis_element_once_per_slot(monkeypatch, dim, 
     monkeypatch.setattr(trivec.covariants, "interior", counted)
     assert kappa_map(p, degrees).matrix == want
     assert len(calls) == sum(math.comb(dim, l) for l in degrees)
+
+
+def _kappa_by_star_of_wedges(p, degrees):
+    """kappa_map by its definition: one star(i_b1 P ^ ... ^ P) per column."""
+    n = p.dim
+    unit = complex(1) if p.mode == "float" else 1
+    rows = SubsetIndexer(n, n - (len(degrees) + 1) * 3 + sum(degrees))
+    columns = []
+    for key in itertools.product(*(SubsetIndexer(n, l).masks for l in degrees)):
+        w = None
+        for m, l in zip(key, degrees):
+            c = interior(AltTensor(n, l, {m: unit}), p)
+            w = c if w is None else wedge(w, c)
+        columns.append(star(p if w is None else wedge(w, p)))
+    return [[col.masks().get(rm, 0) for col in columns] for rm in rows.masks]
+
+
+def _exact_float_and_gaussian(p):
+    z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    return [p, p.to_float(), AltTensor(p.dim, 3, {m: v * z for m, v in p.masks().items()})]
+
+
+@pytest.mark.parametrize("dim,degrees", [(6, ()), (6, (1,)), (6, (2,)), (7, (1,)),
+                                         (7, (1, 1)), (8, (1,)), (8, (1, 1)),
+                                         (8, (2,))])
+def test_kappa_map_equals_star_of_wedges(dim, degrees):
+    # same entries, term for term: float sums must come out bit-identical
+    states = (_exact_float_and_gaussian(random_state(dim, 60 + dim, density=0.4))
+              + [random_complex_state(dim, 3)])
+    for p in states:
+        got = kappa_map(p, degrees).matrix
+        want = _kappa_by_star_of_wedges(p, degrees)
+        assert repr(got) == repr(want), (dim, degrees, p.mode)
+
+
+def _eight_by_index_tuples(p):
+    """G, H and FE of eight_covariants by the component sums over index
+    tuples, with Phi in a dict that keeps the order of first terms."""
+    f_map = kappa_map(p, (1, 1))
+    e_map = kappa_map(p, (1,))
+    cols = {key: i for i, key in enumerate(f_map.col_keys)}
+
+    def f(a, b1, b2):
+        return f_map.matrix[a - 1][cols[(1 << (b1 - 1), 1 << (b2 - 1))]]
+
+    rng = range(1, 9)
+    g = [[0] * 8 for _ in rng]
+    for a in rng:
+        for b in range(a, 9):
+            v = 0
+            for c in rng:
+                for d in rng:
+                    x = f(c, a, d)
+                    if x:
+                        y = f(d, b, c)
+                        if y:
+                            v = v + x * y
+            g[a - 1][b - 1] = g[b - 1][a - 1] = v
+    phi = {}
+    for a in rng:
+        for (m1, m2) in cols:
+            v = f(a, tuple_of(m1)[0], tuple_of(m2)[0])
+            if not v:
+                continue
+            c, i = tuple_of(m1)[0], tuple_of(m2)[0]
+            for mrow, rowpos in e_map.row_subsets.position.items():
+                if not mrow >> (c - 1) & 1:
+                    continue
+                rest = mrow ^ (1 << (c - 1))
+                k, l = tuple_of(rest)
+                s = merge_sign(1 << (c - 1), rest)
+                for j in rng:
+                    ev = e_map.matrix[rowpos][j - 1]
+                    if ev:
+                        term = v * ev if s > 0 else -(v * ev)
+                        key = (a, k, l, i, j)
+                        phi[key] = term if key not in phi else phi[key] + term
+    phi = {key: v for key, v in phi.items() if v}
+    h = [[0] * 8 for _ in rng]
+    for (a, k, l, i, j), v in phi.items():
+        for b in rng:
+            w = None
+            if i < j:
+                w = phi.get((b, i, j, k, l))
+            elif i > j:
+                w = phi.get((b, j, i, k, l))
+                w = None if w is None else -w
+            if w is not None:
+                h[a - 1][b - 1] = h[a - 1][b - 1] + 2 * (v * w)
+    pairs = {pr: n for n, pr in enumerate(itertools.combinations(rng, 2))}
+    fe = [[0] * 8 for _ in pairs]
+    for (a, k, l, i, j), v in phi.items():
+        if j == a:
+            fe[pairs[(k, l)]][i - 1] += v
+    return g, h, fe
+
+
+def test_eight_covariants_match_the_index_tuple_sums():
+    # bit-identical floats: eight_i = Tr(G H) is printed to full precision
+    states = []
+    for label in ("XII", "XV", "XXIII"):
+        states += _exact_float_and_gaussian(
+            slocc_apply(random_invertible(8, 7), canonical_state(8, label)))
+    states += [canonical_state(8, "XV").to_float(), random_complex_state(8, 2),
+               random_state(8, 9, density=0.3).to_float()]
+    for p in states:
+        cov = eight_covariants(p)
+        got = (cov.g_matrix, cov.h_matrix, cov.fe_matrix)
+        assert repr(got) == repr(_eight_by_index_tuples(p)), p.mode
 
 
 def test_seven_covariant_ranks_match_embedded_sep():
