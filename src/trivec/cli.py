@@ -38,7 +38,7 @@ from .invariants import (invariant_is_zero, qutrit_normal_form_coefficients,
                          qutrit_normal_invariants)
 from .oracle import random_invertible, random_state, selfcheck
 from .scalars import GaussianRational, imag_part, to_complex
-from .spectra import occupation_spectrum, pinning_analysis
+from .spectra import occupation_spectrum, one_matrix, pinning_analysis
 
 FORMAT_VERSION = 1
 
@@ -232,8 +232,9 @@ def build_report(p: AltTensor, mode: str, real: bool = False) -> dict:
     if "rank_T" in label.detail:
         report["classification"]["rank_T"] = label.detail["rank_T"]
     if p.dim in (6, 7) and not p.is_zero():
-        spec = occupation_spectrum(q)
-        pin = pinning_analysis(q, label.label)
+        rho = one_matrix(q)
+        spec = occupation_spectrum(q, rho=rho)
+        pin = pinning_analysis(q, label.label, rho=rho)
         report["spectrum"] = {
             "occupations_descending": [float(x) for x in spec.eigenvalues],
             "constraints": pin["constraints"],
@@ -379,7 +380,8 @@ def cmd_rdm(args) -> int:
     if p.is_zero():
         raise CliError("amplitudes: zero state has no density matrix")
     p, _ = _prescale(p, mode)
-    spec = occupation_spectrum(p)
+    rho = one_matrix(p)
+    spec = occupation_spectrum(p, rho=rho)
     report = {
         "format": FORMAT_VERSION,
         "tool": {"name": "trivec", "version": __version__},
@@ -387,7 +389,7 @@ def cmd_rdm(args) -> int:
         "occupations_descending": [float(x) for x in spec.eigenvalues],
     }
     if p.dim in (6, 7):
-        pin = pinning_analysis(p, classify(p).label)
+        pin = pinning_analysis(p, classify(p).label, rho=rho)
         report["constraints"] = pin["constraints"]
         report["pinning"] = {
             "support_pattern": pin["support_pattern"],

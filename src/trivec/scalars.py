@@ -12,11 +12,12 @@ with :func:`to_complex`.
 
 The matrix kernels operate on rectangular lists of row lists.  In exact mode
 rank and determinant use fraction-free (Bareiss) elimination, so results are
-bit-exact; every other elimination (inverses, kernels, float determinants)
-is the one Gauss-Jordan kernel :func:`row_reduce`.  In float mode rank counts
-the diagonal of a Householder QR with column pivoting, taken directly on the
-complex entries, against a :class:`TolerancePolicy`; Hermitian eigenvalues
-come from cyclic Jacobi sweeps.
+bit-exact; rank first divides the row and column gcds out of a matrix of
+(Gaussian) integers.  Every other elimination (inverses, kernels, float
+determinants) is the one Gauss-Jordan kernel :func:`row_reduce`.  In float
+mode rank counts the diagonal of a Householder QR with column pivoting,
+taken directly on the complex entries, against a :class:`TolerancePolicy`;
+Hermitian eigenvalues come from cyclic Jacobi sweeps.
 """
 
 from __future__ import annotations
@@ -161,9 +162,19 @@ class GaussianRational:
         return complex(self.re) + 1j * complex(self.im)
 
 
+_ALL_EXACT_TYPES = (GaussianRational,) + _EXACT_TYPES
+_FLOAT_TYPES = (float, complex)
+
+
 def is_exact(x) -> bool:
     """True for the exact scalar types, False for float/complex."""
-    return isinstance(x, (GaussianRational,) + _EXACT_TYPES)
+    t = type(x)
+    if t in _ALL_EXACT_TYPES:
+        return True
+    if t in _FLOAT_TYPES:
+        return False
+    # subclasses, such as bool; Fraction's ABC metaclass makes this slow
+    return isinstance(x, _ALL_EXACT_TYPES)
 
 
 def conjugate(x):
@@ -438,15 +449,58 @@ def float_rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCE):
             max(dropped, default=0.0) / smax)
 
 
+def _content_free(m, gaussian):
+    """``m`` with each row, then each column, divided by the gcd of the
+    integer parts of its entries; a zero row or column is left as it is.
+
+    Every entry is an ``int``, or with ``gaussian`` possibly a
+    :class:`GaussianRational` with ``int`` parts.
+    """
+    def parts(v):
+        if not gaussian:
+            return v
+        return [q for x in v for q in ((x,) if type(x) is int else (x.re, x.im))]
+
+    def divided(x, g):
+        if g < 2:
+            return x
+        return x // g if type(x) is int else GaussianRational(x.re // g, x.im // g)
+
+    m = [[divided(x, g) for x in row] if g > 1 else row
+         for row, g in zip(m, [math.gcd(*parts(row)) for row in m])]
+    gcds = [math.gcd(*parts(col)) for col in zip(*m)]
+    return [[divided(x, g) for x, g in zip(row, gcds)] for row in m]
+
+
 def rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
-    """Rank of a rectangular matrix, exact or tolerance-based."""
+    """Rank of a rectangular matrix, exact or tolerance-based.
+
+    One scan over the entries picks the route.  A matrix of integral
+    entries (``int``, or :class:`GaussianRational` with ``int`` parts) has
+    the gcd of its rows' integer parts, then of its columns', divided out
+    before Bareiss elimination: scaling a row or column by a nonzero factor
+    keeps the rank, and the smaller entries make the elimination's products
+    cheaper.  Other exact matrices go to Bareiss as they are, and any matrix
+    with a float or complex entry to :func:`float_rank`.
+    """
     nr, nc = _check_rect(m)
     if nr == 0 or nc == 0:
         return 0
-    if matrix_is_exact(m):
-        r, _, _ = _bareiss(m)
-        return r
-    return float_rank(m, tol)[0]
+    integral, gaussian = True, False
+    for row in m:
+        for x in row:
+            t = type(x)
+            if t is int:
+                continue
+            if t is GaussianRational and type(x.re) is int and type(x.im) is int:
+                gaussian = True
+                continue
+            if not is_exact(x):
+                return float_rank(m, tol)[0]
+            integral = False
+    if integral:
+        m = _content_free(m, gaussian)
+    return _bareiss(m)[0]
 
 
 def determinant(m):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import AltTensor, GroupElement, slocc_apply, tuple_of
+from .invariants import _integer_rescale
 from .scalars import (conjugate, hermitian_eigensystem,
                       hermitian_eigenvalues, is_exact, to_complex)
 
@@ -29,12 +30,16 @@ def one_matrix(p: AltTensor):
 
     rho_ij = sum over sorted pairs (a < b) of P_iab conj(P_jab), divided by
     the squared norm; Hermitian by construction.  Exact states give exact
-    entries.
+    entries, summed on the integer rescale of the state: rho does not change
+    when the state is scaled, so the entries are equal and the sums run on
+    (Gaussian) integers.
     """
     if p.degree != 3:
         raise ValueError("one_matrix expects a three-fermion state")
     if p.is_zero():
         raise ValueError("one_matrix of the zero state is undefined")
+    if p.mode == "exact":
+        p = AltTensor(p.dim, 3, _integer_rescale(p)[1])
     n = p.dim
     norm2 = p.norm_sq()
     rho = [[0] * n for _ in range(n)]
@@ -63,9 +68,14 @@ class OccupationSpectrum:
     trace: float = 3.0
 
 
-def occupation_spectrum(p: AltTensor, ordering: str = "descending") -> OccupationSpectrum:
-    """Eigenvalues of the one-matrix; exact diagonal matrices skip the solver."""
-    rho = one_matrix(p)
+def occupation_spectrum(p: AltTensor, ordering: str = "descending",
+                        rho=None) -> OccupationSpectrum:
+    """Eigenvalues of the one-matrix; exact diagonal matrices skip the solver.
+
+    ``rho`` is ``one_matrix(p)`` when the caller has already built it.
+    """
+    if rho is None:
+        rho = one_matrix(p)
     n = p.dim
     exact_diag = all(is_exact(rho[i][j]) for i in range(n) for j in range(n)) and \
         all(not rho[i][j] for i in range(n) for j in range(n) if i != j)
@@ -120,13 +130,16 @@ _FORBIDDEN_7_FIRST = {"X"}
 _FORBIDDEN_7_TRIPLE = {"V", "VIII", "IX", "X"}
 
 
-def natural_orbital_transform(p: AltTensor):
+def natural_orbital_transform(p: AltTensor, rho=None):
     """(rotated state, spectrum): express the state on its natural orbitals.
 
     The rotation is unitary, hence inside the group, so the class label is
-    unchanged.  Orbitals are ordered by descending occupation.
+    unchanged.  Orbitals are ordered by descending occupation.  ``rho`` is
+    ``one_matrix(p)`` when the caller has already built it.
     """
-    rho = [[to_complex(x) for x in row] for row in one_matrix(p)]
+    if rho is None:
+        rho = one_matrix(p)
+    rho = [[to_complex(x) for x in row] for row in rho]
     vals, vecs = hermitian_eigensystem(rho)
     order = sorted(range(p.dim), key=lambda i: -vals[i])
     u = [[vecs[r][order[c]] for c in range(p.dim)] for r in range(p.dim)]
@@ -144,7 +157,8 @@ def _support_pattern(rotated: AltTensor):
     return {t for t, v in rotated.terms() if abs(to_complex(v)) > cut}
 
 
-def pinning_analysis(p: AltTensor, label: str, eps: float = SATURATION_EPS) -> dict:
+def pinning_analysis(p: AltTensor, label: str, eps: float = SATURATION_EPS,
+                     rho=None) -> dict:
     """Saturations, natural-orbital support pattern and class compatibility.
 
     ``label`` is the state's class label as the caller already computed it
@@ -152,11 +166,12 @@ def pinning_analysis(p: AltTensor, label: str, eps: float = SATURATION_EPS) -> d
     Rotates the state to its natural-orbital basis, reports which canonical
     pinned support pattern the rotation matches, and checks the saturation
     flags against the classes where pinning is impossible.  An inconsistency
-    marks the report rather than guessing.
+    marks the report rather than guessing.  ``rho`` is ``one_matrix(p)`` when
+    the caller has already built it.
     """
     if p.dim not in (6, 7):
         raise ValueError("pinning analysis covers dimensions 6 and 7")
-    rotated, spectrum = natural_orbital_transform(p)
+    rotated, spectrum = natural_orbital_transform(p, rho)
     constraints = klyachko_check(spectrum, eps)
     support = _support_pattern(rotated)
 

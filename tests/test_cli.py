@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 
 import trivec.cli
 import trivec.covariants
+import trivec.spectra
 from trivec.classify import classify
 from trivec.cli import (_format_scalar, build_report, main, parse_state,
                         state_document)
@@ -453,6 +455,44 @@ def test_build_report_leaves_invariants_to_the_classifier(monkeypatch, dim,
     assert calls == {"classify": 1}
     field = report["invariants"][name]
     assert (field["re"], field["im"]) == want
+
+
+@pytest.mark.parametrize("dim,label", [(6, "W"), (7, "IX")])
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("command", ["classify", "rdm"])
+def test_report_builds_the_one_matrix_once(monkeypatch, tmp_path, capsys,
+                                           dim, label, mode, command):
+    calls = []
+    build = trivec.spectra.one_matrix
+
+    def counted(p):
+        calls.append(p)
+        return build(p)
+
+    monkeypatch.setattr(trivec.spectra, "one_matrix", counted)
+    monkeypatch.setattr(trivec.cli, "one_matrix", counted)
+    p = _moved(dim, label)
+    path = write_state(tmp_path, "s.json",
+                       state_document(p.to_float() if mode == "float" else p, mode))
+    code, out, _ = run_cli(capsys, command, "--input", path)
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["spectrum"] if command == "classify" else rep)["constraints"]
+    assert len(calls) == 1
+
+
+def test_moved_family1_report_is_unchanged(tmp_path, capsys):
+    # the benchmark's slowest nine-mode input; the exact rank of its 84 x 84
+    # T runs on rows and columns with their gcds divided out
+    p = slocc_apply(random_invertible(9, 1),
+                    canonical_state(9, "family1", (1, 2, 4, 8)))
+    path = write_state(tmp_path, "f1.json", state_document(p, "rational"))
+    code, out, _ = run_cli(capsys, "classify", "--input", path)
+    assert code == 0
+    rep = json.loads(out)["classification"]
+    assert (rep["label"], rep["rank_T"]) == ("family1", 80)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dd3fdc282a1ed0d144595789ba476987c3396846567997512d4d72752d73f429")
 
 
 def test_rdm_pinning_label_is_the_class_label(tmp_path, capsys):

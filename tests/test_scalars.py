@@ -8,9 +8,10 @@ from trivec.covariants import t_matrix_rows
 from trivec.exterior import GroupElement, canonical_state
 from trivec.oracle import random_invertible
 from trivec.scalars import (GaussianRational, TolerancePolicy,
-                            _householder_diagonal, _pivoted_qr_diagonal,
-                            determinant, float_rank, hermitian_eigensystem,
-                            hermitian_eigenvalues, pfaffian, rank, row_reduce)
+                            _content_free, _householder_diagonal,
+                            _pivoted_qr_diagonal, determinant, float_rank,
+                            hermitian_eigensystem, hermitian_eigenvalues,
+                            is_exact, pfaffian, rank, row_reduce)
 
 
 def test_gaussian_rational_basic_arithmetic():
@@ -120,6 +121,59 @@ def test_rank_matches_minor_enumeration():
         want = _brute_rank(m)
         assert rank(m) == want
         assert rank([[float(x) for x in row] for row in m]) == want
+    # integral matrices, whose row and column gcds rank divides out first:
+    # planted factors, zero rows and columns (gcd 0), rectangular shapes
+    rng = random.Random(2)
+    factors = (1, -1, 6, -35, 2 ** 31 - 1, 3 * 2 ** 40)
+    for trial in range(100):
+        gaussian = trial % 2 == 1
+        nr = rng.randint(1, 5)
+        nc = rng.randint(1, 5)
+
+        def entry():
+            if gaussian:
+                return GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+            return rng.randint(-3, 3)
+
+        # a product through k <= min(nr, nc) dimensions, often fewer, so
+        # that a wrongly scaled entry shows as a change of rank
+        k = rng.randint(1, min(nr, nc))
+        a = [[entry() for _ in range(k)] for _ in range(nr)]
+        b = [[entry() for _ in range(nc)] for _ in range(k)]
+        m = [[sum((x * y for x, y in zip(row, col)), 0) for col in zip(*b)]
+             for row in a]
+        for row in m:
+            f = rng.choice(factors)
+            row[:] = [f * x for x in row]
+        for c in range(nc):
+            f = rng.choice(factors)
+            for row in m:
+                row[c] *= f
+        if rng.random() < 0.3:
+            m[rng.randrange(nr)] = [0] * nc
+        if rng.random() < 0.3:
+            c = rng.randrange(nc)
+            for row in m:
+                row[c] = 0
+        want = _brute_rank(m)
+        assert rank(m) == want
+        assert _brute_rank(_content_free(m, gaussian)) == want
+
+
+def test_content_free_leaves_unit_gcds():
+    m = [[6, -12, 0, 18], [0, 0, 0, 0], [10, 20, 0, -40]]
+    # row gcds 6, 0, 10, then column gcds 1, 2, 0, 1
+    assert _content_free(m, False) == [[1, -1, 0, 3], [0, 0, 0, 0], [1, 1, 0, -4]]
+    g = [[GaussianRational(4, 6), 2], [GaussianRational(0, 8), 0]]
+    assert _content_free(g, True) == [[GaussianRational(2, 3), 1],
+                                      [GaussianRational(0, 1), 0]]
+
+
+def test_is_exact_types():
+    for x in (0, 3, True, Fraction(1, 3), GaussianRational(1, 2)):
+        assert is_exact(x)
+    for x in (0.0, 1j, 2.5 + 0j, float("nan")):
+        assert not is_exact(x)
 
 
 def test_rank_matches_minors_order_six():

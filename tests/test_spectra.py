@@ -7,7 +7,9 @@ import pytest
 from trivec.classify import classify, classify6, classify7
 from trivec.exterior import AltTensor, canonical_state, slocc_apply
 from trivec.invariants import quartic_d
-from trivec.oracle import random_complex_state, random_rational_state
+from trivec.oracle import (random_complex_state, random_invertible,
+                           random_rational_state)
+from trivec.scalars import GaussianRational, conjugate
 from trivec.spectra import (SEVEN_CONSTRAINTS, klyachko_check,
                             natural_orbital_transform, occupation_spectrum,
                             one_matrix, pinning_analysis)
@@ -59,6 +61,20 @@ def test_one_matrix_trace_and_hermiticity():
         for i in range(dim):
             for j in range(dim):
                 assert abs(rho[i][j] - rho[j][i].conjugate()) < 1e-12
+
+
+def test_exact_one_matrix_is_the_defining_sum():
+    # one_matrix sums on the integer rescale; the entries must equal the
+    # defining sum over the state as given
+    for scale in (Fraction(2, 7), GaussianRational(Fraction(3, 5), Fraction(4, 5))):
+        p = slocc_apply(random_invertible(7, 5), canonical_state(7, "IX")).scale(scale)
+        norm2 = p.norm_sq()
+        rho = one_matrix(p)
+        for i in range(1, 8):
+            for j in range(1, 8):
+                want = sum((p.component((i, a, b)) * conjugate(p.component((j, a, b)))
+                            for a in range(1, 8) for b in range(a + 1, 8)), 0)
+                assert rho[i - 1][j - 1] == want / norm2
 
 
 def test_one_matrix_rejects_zero_state():
