@@ -26,9 +26,9 @@ from .exterior import (AltTensor, GroupElement, mask_of, merge_sign,
                        slocc_apply, tuple_of)
 from .invariants import (DELTA_DEGREES, J_DEGREES, dual_trivector, eight_i,
                          invariant_is_zero, nine_deltas, nine_js_scaled,
-                         quartic_d, seven_j, _exact_ratio, _integer_rescale)
-from .scalars import (DEFAULT_TOLERANCE, TolerancePolicy, imag_part, rank,
-                      real_part, row_reduce, to_complex)
+                         quartic_d, seven_j)
+from .scalars import (DEFAULT_TOLERANCE, TolerancePolicy, imag_part, quotient,
+                      rank, real_part, row_reduce, to_complex)
 
 
 @dataclass
@@ -109,16 +109,15 @@ def _check(p, dim):
 
 
 def _on_integer_rescale(classifier):
-    """Run ``classifier`` on the integer rescale of an exact state and divide
-    each invariant it returns by scale**degree; float states pass through."""
+    """Run ``classifier`` on the integer rescale of a state and divide each
+    exact invariant it returns by scale**degree, into the exact normal form;
+    float states pass through."""
     @functools.wraps(classifier)
     def run(p, *args, **kwargs):
-        if p.mode != "exact":
-            return classifier(p, *args, **kwargs)
-        scale, coeffs = _integer_rescale(p)
-        out = classifier(AltTensor(p.dim, p.degree, coeffs), *args, **kwargs)
-        if scale != 1:
-            out.invariants = {name: (_exact_ratio(v, scale ** deg), deg)
+        scale, q = p.integer_rescale()
+        out = classifier(q, *args, **kwargs)
+        if p.mode == "exact":
+            out.invariants = {name: (quotient(v, scale ** deg), deg)
                               for name, (v, deg) in out.invariants.items()}
         return out
     return run

@@ -28,6 +28,7 @@ import functools
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -37,7 +38,7 @@ from .exterior import (AltTensor, canonical_state, embed_three_qubits,
 from .invariants import (invariant_is_zero, qutrit_normal_form_coefficients,
                          qutrit_normal_invariants)
 from .oracle import random_invertible, random_state, selfcheck
-from .scalars import GaussianRational, imag_part, to_complex
+from .scalars import GaussianRational, imag_part, normal_form, to_complex
 from .spectra import occupation_spectrum, one_matrix, pinning_analysis
 
 FORMAT_VERSION = 1
@@ -56,11 +57,8 @@ def _parse_scalar(entry, mode, where):
     im_s = entry.get("im", "0")
     try:
         if mode == "rational":
-            re = Fraction(str(re_s))
-            im = Fraction(str(im_s))
-            if im:
-                return GaussianRational(re, im)
-            return int(re) if re.denominator == 1 else re
+            return normal_form(GaussianRational(Fraction(str(re_s)),
+                                                Fraction(str(im_s))))
         re = float(re_s)
         im = float(im_s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -70,11 +68,20 @@ def _parse_scalar(entry, mode, where):
     return complex(re, im)
 
 
+def _exact_str(q) -> str:
+    """str(q) for an exact real of any size: ``str`` refuses an int past
+    ``sys.get_int_max_str_digits()`` digits, ``Decimal`` does not."""
+    q = normal_form(q)
+    if type(q) is int:
+        return str(Decimal(q))
+    return f"{Decimal(q.numerator)!s}/{Decimal(q.denominator)!s}"
+
+
 def _format_scalar(value, mode):
     if mode == "rational":
         if isinstance(value, GaussianRational):
-            return str(value.re), str(value.im)
-        return str(Fraction(value)), "0"
+            return _exact_str(value.re), _exact_str(value.im)
+        return _exact_str(value), "0"
     c = to_complex(value)
     return repr(c.real), repr(c.imag)
 
@@ -190,15 +197,28 @@ def _prescale(p: AltTensor, mode: str) -> tuple:
 
 def _value_field(value, mode, degree, scale, e=0):
     """Report field of an invariant of a state prescaled by 2^-e."""
-    field = {"degree": degree}
-    if mode == "float":
-        field["zero"] = invariant_is_zero(value, scale, degree)
-        if e:
-            value = _ldexp(value, e * degree)
-    else:
-        field["zero"] = not value
+    field = {"degree": degree, "zero": invariant_is_zero(value, scale, degree)}
+    if e:
+        value = _ldexp(value, e * degree)
     field["re"], field["im"] = _format_scalar(value, mode)
     return field
+
+
+def _spectrum_section(p: AltTensor, label: str) -> dict:
+    """Occupations, polytope constraints and pinning of a six- or seven-mode
+    state of class ``label``, from one one-matrix."""
+    rho = one_matrix(p)
+    spec = occupation_spectrum(p, rho=rho)
+    pin = pinning_analysis(p, label, rho=rho)
+    return {
+        "occupations_descending": [float(x) for x in spec.eigenvalues],
+        "constraints": pin["constraints"],
+        "pinning": {
+            "support_pattern": pin["support_pattern"],
+            "consistent": pin["consistent"],
+            "violations": pin["violations"],
+        },
+    }
 
 
 def build_report(p: AltTensor, mode: str, real: bool = False) -> dict:
@@ -232,18 +252,7 @@ def build_report(p: AltTensor, mode: str, real: bool = False) -> dict:
     if "rank_T" in label.detail:
         report["classification"]["rank_T"] = label.detail["rank_T"]
     if p.dim in (6, 7) and not p.is_zero():
-        rho = one_matrix(q)
-        spec = occupation_spectrum(q, rho=rho)
-        pin = pinning_analysis(q, label.label, rho=rho)
-        report["spectrum"] = {
-            "occupations_descending": [float(x) for x in spec.eigenvalues],
-            "constraints": pin["constraints"],
-            "pinning": {
-                "support_pattern": pin["support_pattern"],
-                "consistent": pin["consistent"],
-                "violations": pin["violations"],
-            },
-        }
+        report["spectrum"] = _spectrum_section(q, label.label)
     return report
 
 
@@ -311,7 +320,9 @@ def cmd_random(args) -> int:
     return 0
 
 
-def _load_psi(path, count, mode):
+def _load_psi(path, count, mode, labels, rule):
+    """{index tuple: amplitude} of at most ``count`` entries whose index
+    labels lie in ``labels``; ``rule`` states them in an error message."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -331,6 +342,8 @@ def _load_psi(path, count, mode):
         if (not isinstance(idx, list) or len(idx) != 3
                 or any(isinstance(i, bool) for i in idx)):
             raise CliError(f"{where}.indices: need three labels")
+        if any(i not in labels for i in idx):
+            raise CliError(f"{where}.indices: {rule}, got {idx}")
         key = tuple(idx)
         if key in psi:
             raise CliError(f"{where}.indices: duplicate {idx}")
@@ -342,16 +355,10 @@ def cmd_embed(args) -> int:
     mode = args.mode or "exact"
     mode = "rational" if mode == "exact" else "float"
     if args.type == "qubit3":
-        psi = _load_psi(args.input, 8, mode)
-        for key in psi:
-            if any(b not in (0, 1) for b in key):
-                raise CliError(f"indices: qubit labels are 0/1, got {list(key)}")
+        psi = _load_psi(args.input, 8, mode, (0, 1), "qubit labels are 0/1")
         p = embed_three_qubits(psi)
     else:
-        psi = _load_psi(args.input, 27, mode)
-        for key in psi:
-            if any(m not in (1, 2, 3) for m in key):
-                raise CliError(f"indices: qutrit labels are 1..3, got {list(key)}")
+        psi = _load_psi(args.input, 27, mode, (1, 2, 3), "qutrit labels are 1..3")
         p = embed_three_qutrits(psi)
     doc = state_document(p, mode)
     if args.out:
@@ -380,24 +387,18 @@ def cmd_rdm(args) -> int:
     if p.is_zero():
         raise CliError("amplitudes: zero state has no density matrix")
     p, _ = _prescale(p, mode)
-    rho = one_matrix(p)
-    spec = occupation_spectrum(p, rho=rho)
     report = {
         "format": FORMAT_VERSION,
         "tool": {"name": "trivec", "version": __version__},
         "dimension": p.dim,
-        "occupations_descending": [float(x) for x in spec.eigenvalues],
     }
     if p.dim in (6, 7):
-        pin = pinning_analysis(p, classify(p).label, rho=rho)
-        report["constraints"] = pin["constraints"]
-        report["pinning"] = {
-            "support_pattern": pin["support_pattern"],
-            "class_label": pin["class_label"],
-            "consistent": pin["consistent"],
-            "violations": pin["violations"],
-        }
+        label = classify(p).label
+        report.update(_spectrum_section(p, label))
+        report["pinning"]["class_label"] = label
     else:
+        spec = occupation_spectrum(p)
+        report["occupations_descending"] = [float(x) for x in spec.eigenvalues]
         report["constraints"] = None
         report["note"] = "polytope constraints are tabulated for 6 and 7 modes only"
     emit(report)

@@ -17,17 +17,20 @@ Conventions used throughout the package:
 
 Tensors are mode-homogeneous: either every coefficient is exact (int,
 Fraction, GaussianRational) or every coefficient is a float/complex.  Binary
-operations refuse to mix the two modes.
+operations refuse to mix the two modes.  Exact coefficients are stored in the
+normal form of :func:`~trivec.scalars.normal_form`, whatever arithmetic made
+them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
-from .scalars import (GaussianRational, abs_sq, conjugate, is_exact,
-                      row_reduce, to_complex)
+from .scalars import (GaussianRational, abs_sq, conjugate, imag_part, is_exact,
+                      normal_form, real_part, row_reduce, to_complex)
 
 
 def mask_of(indices) -> int:
@@ -102,12 +105,13 @@ class SubsetIndexer:
         return self.position[mask_of(indices)]
 
 
-def _scalar_mode(x):
-    return "exact" if is_exact(x) else "float"
-
-
 class AltTensor:
-    """Degree-k antisymmetric tensor over an N-dimensional space."""
+    """Degree-k antisymmetric tensor over an N-dimensional space.
+
+    Zero coefficients are dropped, and exact ones are kept in the exact
+    normal form: an ``int`` when integral, a ``Fraction`` when real, a
+    ``GaussianRational`` only with a nonzero imaginary part.
+    """
 
     __slots__ = ("dim", "degree", "_c")
 
@@ -124,10 +128,17 @@ class AltTensor:
             for m, v in coeffs.items():
                 if not v:
                     continue
-                vm = _scalar_mode(v)
+                t = type(v)
+                if t is int:
+                    exact = True
+                elif t is float or t is complex:
+                    exact = False
+                else:
+                    v = normal_form(v)
+                    exact = is_exact(v)
                 if mode is None:
-                    mode = vm
-                elif mode != vm:
+                    mode = exact
+                elif mode is not exact:
                     raise TypeError("mixed exact and float coefficients")
                 if m.bit_count() != degree or m >= 1 << dim:
                     raise ValueError("coefficient key of wrong shape")
@@ -192,7 +203,7 @@ class AltTensor:
     def mode(self):
         """'exact', 'float', or None for the zero tensor."""
         for v in self._c.values():
-            return _scalar_mode(v)
+            return "exact" if is_exact(v) else "float"
         return None
 
     def is_zero(self) -> bool:
@@ -206,14 +217,42 @@ class AltTensor:
         return out
 
     def norm_sq(self):
-        """Sum of |coefficient|^2 over sorted tuples."""
-        total = Fraction(0) if self.mode != "float" else 0.0
+        """Sum of |coefficient|^2 over sorted tuples, in the exact normal
+        form for an exact tensor."""
+        total = 0 if self.mode != "float" else 0.0
         for v in self._c.values():
             total += abs_sq(v)
-        return total
+        return normal_form(total)
 
     def max_abs(self) -> float:
-        return max((abs(to_complex(v)) for v in self._c.values()), default=0.0)
+        """Largest coefficient modulus, ``inf`` past the double range.
+
+        Only float zero tests read it; exact ones never leave exact
+        arithmetic.
+        """
+        try:
+            return max((abs(to_complex(v)) for v in self._c.values()), default=0.0)
+        except OverflowError:
+            return math.inf
+
+    def integer_rescale(self) -> tuple:
+        """(scale, scale * self) with the least positive integer ``scale``
+        that makes every coefficient a (Gaussian) integer.
+
+        Every invariant of degree d of the rescaled tensor is scale**d times
+        that of this one, and ranks do not change.  Float tensors, and exact
+        ones with integer coefficients, come back as they are with scale 1.
+        """
+        scale = 1
+        for v in self._c.values():
+            t = type(v)
+            if t is Fraction:
+                scale = math.lcm(scale, v.denominator)
+            elif t is GaussianRational:
+                scale = math.lcm(scale, v.re.denominator, v.im.denominator)
+        if scale == 1:
+            return 1, self
+        return scale, self.scale(scale)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -470,21 +509,12 @@ def _minor_det(mat, rows, cols):
     return total
 
 
-def _demote_integral(v):
-    """Integer-valued exact scalars become plain ints (cheaper downstream)."""
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else v
-    if isinstance(v, GaussianRational) and not v.im and v.re.denominator == 1:
-        return int(v.re)
-    return v
-
-
 def slocc_apply(g: GroupElement, p: AltTensor) -> AltTensor:
     """Transform a k-form: every index contracted with g' = (g^T)^-1.
 
     Equals the action of the degree-k compound matrix of g' on the canonical
     coefficients.  Unimodular integer elements map integer states to integer
-    states; the output keeps such coefficients as plain ints.
+    states.
     """
     if g.dim != p.dim:
         raise ValueError("dimension mismatch in group action")
@@ -504,7 +534,7 @@ def slocc_apply(g: GroupElement, p: AltTensor) -> AltTensor:
             term = d * v
             cur = c.get(mtgt)
             c[mtgt] = term if cur is None else cur + term
-    return AltTensor(p.dim, k, {m: _demote_integral(v) for m, v in c.items()})
+    return AltTensor(p.dim, k, c)
 
 
 # ---------------------------------------------------------------------------
@@ -631,21 +661,11 @@ def complex_basis_form(dim: int, labels) -> AltTensor:
 
 
 def _simplify_exact(t: AltTensor) -> AltTensor:
-    """Divide out powers of two and drop zero imaginary parts."""
-    def half_ok(v):
-        v = v if isinstance(v, GaussianRational) else _gq(v)
-        return Fraction(v.re, 2).denominator == 1 and Fraction(v.im, 2).denominator == 1
-
-    while not t.is_zero() and all(half_ok(v) for v in t._c.values()):
+    """Divide out the powers of two that every coefficient part shares."""
+    while not t.is_zero() and all(x % 2 == 0 for v in t._c.values()
+                                  for x in (real_part(v), imag_part(v))):
         t = t.scale(Fraction(1, 2))
-    c = {}
-    for m, v in t._c.items():
-        if isinstance(v, GaussianRational) and v.im == 0:
-            v = int(v.re) if v.re.denominator == 1 else v.re
-        elif isinstance(v, Fraction) and v.denominator == 1:
-            v = int(v)
-        c[m] = v
-    return AltTensor(t.dim, t.degree, c)
+    return t
 
 
 def _e(dim, *idx):

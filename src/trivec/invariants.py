@@ -14,19 +14,19 @@ J12/J18/J24/J30 12..30  4/6/8/10
 
 The nine-dimensional invariants come from traces of powers of the cubic
 endomorphism; the odd traces and the second-power trace vanish identically
-and are verified, not assumed.  Exact inputs go through a scaled integer
-fast path so rational states cost plain big-integer arithmetic.
+and are verified, not assumed.  Exact inputs go through their integer
+rescale so rational states cost plain big-integer arithmetic.  Exact values
+come back in the exact normal form.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .covariants import (dual_trivector, eight_covariants, k_matrix_6,
                          seven_covariants, t_matrix_rows, t_power_traces)
 from .exterior import AltTensor
-from .scalars import DEFAULT_TOLERANCE, GaussianRational, is_exact, to_complex
+from .scalars import DEFAULT_TOLERANCE, is_exact, quotient, to_complex
 
 
 def invariant_is_zero(value, state_scale: float, degree: int,
@@ -35,12 +35,6 @@ def invariant_is_zero(value, state_scale: float, degree: int,
     if is_exact(value):
         return not value
     return abs(to_complex(value)) <= eps * max(state_scale, 1e-300) ** degree
-
-
-def _exact_ratio(value, denom: int):
-    if isinstance(value, int):
-        return Fraction(value, denom)
-    return value / denom
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +90,7 @@ def quartic_d(p: AltTensor, route: str = "trace", k=None):
                     y = k[j][i]
                     if y:
                         tr = tr + x * y
-        return _exact_ratio(tr, 6)
+        return quotient(tr, 6)
     if route == "freudenthal_block":
         eta, xi, x, y = _block_dictionary(p)
         trxy = sum(x[i][j] * y[j][i] for i in range(3) for j in range(3))
@@ -106,7 +100,7 @@ def quartic_d(p: AltTensor, route: str = "trace", k=None):
                 + 4 * eta * _det3(x) + 4 * xi * _det3(y))
     if route == "pairing":
         from .exterior import symplectic_pairing
-        return _exact_ratio(symplectic_pairing(dual_trivector(p), p), 2)
+        return quotient(symplectic_pairing(dual_trivector(p), p), 2)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -151,7 +145,7 @@ def seven_j(p: AltTensor, cov=None):
                 y = cov.n_matrix[i][j]
                 if y:
                     tr = tr + x * y
-    return _exact_ratio(tr, 2 ** 4 * 3 ** 2 * 7)
+    return quotient(tr, 2 ** 4 * 3 ** 2 * 7)
 
 
 def eight_i(p: AltTensor, cov=None):
@@ -182,35 +176,6 @@ _J_DENOMS = (2 ** 7 * 3 ** 3 * 7,
 J_DEGREES = (12, 18, 24, 30)
 
 
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
-def _integer_rescale(p: AltTensor):
-    """(scale, coeff dict) with every coefficient a plain int or Gaussian int.
-
-    Multiplying the state by the positive integer ``scale`` clears all
-    denominators; homogeneity undoes the scaling on each invariant.
-    """
-    scale = 1
-    for v in p.masks().values():
-        if isinstance(v, GaussianRational):
-            scale = _lcm(scale, _lcm(v.re.denominator, v.im.denominator))
-        elif isinstance(v, Fraction):
-            scale = _lcm(scale, v.denominator)
-    out = {}
-    for m, v in p.masks().items():
-        if isinstance(v, GaussianRational):
-            re = v.re * scale
-            im = v.im * scale
-            out[m] = GaussianRational(re, im) if im else int(re)
-        elif isinstance(v, Fraction):
-            out[m] = int(v * scale)
-        else:
-            out[m] = v * scale
-    return scale, out
-
-
 def nine_js_scaled(p: AltTensor):
     """((J12, J18, J24, J30), scale, T rows) of the integer-rescaled state.
 
@@ -223,15 +188,10 @@ def nine_js_scaled(p: AltTensor):
     """
     if p.dim != 9 or p.degree != 3:
         raise ValueError("nine_js expects a three-form in nine dimensions")
-    exact = p.mode != "float"
-    if exact:
-        scale, coeffs = _integer_rescale(p)
-        work = AltTensor(9, 3, coeffs)
-    else:
-        scale, work = 1, p
+    scale, work = p.integer_rescale()
     tm = t_matrix_rows(work)
     traces = t_power_traces(tm)
-    if exact:
+    if p.mode != "float":
         if traces[1] or traces[2] or traces[3]:
             raise ArithmeticError("trace identities violated; construction bug")
     else:
@@ -239,27 +199,15 @@ def nine_js_scaled(p: AltTensor):
         for n in (1, 2, 3):
             if abs(traces[n]) > 1e-8 * max(norm, 1e-300) ** n * 84:
                 raise ArithmeticError("trace identities violated beyond tolerance")
-    out = []
-    for (den, tr, sign) in zip(_J_DENOMS,
-                               (traces[4], traces[6], traces[8], traces[10]),
-                               (1, -1, 1, -1)):
-        if exact:
-            if isinstance(tr, GaussianRational):
-                val = tr * Fraction(sign, den)
-            else:
-                val = Fraction(sign * tr, den)
-        else:
-            val = sign * tr / den
-        out.append(val)
-    return tuple(out), scale, tm
+    js = tuple(quotient(sign * tr, den) for den, tr, sign in zip(
+        _J_DENOMS, (traces[4], traces[6], traces[8], traces[10]), (1, -1, 1, -1)))
+    return js, scale, tm
 
 
 def nine_js(p: AltTensor):
     """The four trace invariants (J12, J18, J24, J30)."""
     js, scale, _ = nine_js_scaled(p)
-    if scale == 1:
-        return js
-    return tuple(j / scale ** deg for j, deg in zip(js, J_DEGREES))
+    return tuple(quotient(j, scale ** deg) for j, deg in zip(js, J_DEGREES))
 
 
 def delta_24(js):

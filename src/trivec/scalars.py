@@ -6,6 +6,12 @@ Two scalar modes coexist in the library and are never mixed silently:
   (a complex number with rational real and imaginary parts),
 * float mode: ``float`` and ``complex``.
 
+Exact scalars have one normal form, decided by :func:`normal_form` alone: an
+``int`` when integral, a ``Fraction`` when real, and a
+:class:`GaussianRational` only when the imaginary part is nonzero.  Every
+:class:`~trivec.exterior.AltTensor` stores its coefficients in it, and
+:func:`quotient`, the one exact division, returns it.
+
 Arithmetic between a :class:`GaussianRational` and a float or complex raises
 ``TypeError``; callers that want to leave exact mode must convert explicitly
 with :func:`to_complex`.
@@ -32,19 +38,11 @@ _EXACT_TYPES = (int, Fraction)
 
 
 def _part(x):
-    """A real exact scalar in the part normal form: ``int`` when integral."""
+    """A real exact scalar in normal form: ``int`` when integral."""
     if type(x) is int:
         return x
     x = x if isinstance(x, Fraction) else Fraction(x)
     return x.numerator if x.denominator == 1 else x
-
-
-def _quotient(x, n):
-    """x / n for exact reals; ``int`` when it divides, never a float."""
-    if type(x) is int and type(n) is int:
-        q, r = divmod(x, n)
-        return Fraction(x, n) if r else q
-    return _part(x / n)
 
 
 class GaussianRational:
@@ -106,8 +104,8 @@ class GaussianRational:
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(_quotient(self.re * o.re + self.im * o.im, n),
-                                _quotient(self.im * o.re - self.re * o.im, n))
+        return GaussianRational(quotient(self.re * o.re + self.im * o.im, n),
+                                quotient(self.im * o.re - self.re * o.im, n))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -166,6 +164,31 @@ _ALL_EXACT_TYPES = (GaussianRational,) + _EXACT_TYPES
 _FLOAT_TYPES = (float, complex)
 
 
+def normal_form(x):
+    """The normal form of an exact scalar: an ``int`` when integral, a
+    ``Fraction`` when real, a :class:`GaussianRational` only when its
+    imaginary part is nonzero.  Floats and complexes come back as they are.
+    """
+    t = type(x)
+    if t is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    if t is GaussianRational:
+        return x if x.im else x.re  # the parts are in normal form already
+    if t is int or t is float or t is complex:
+        return x
+    return _part(x) if isinstance(x, _EXACT_TYPES) else x
+
+
+def quotient(x, n):
+    """x / n in the exact normal form; floats and complexes give x / n."""
+    if type(x) is int and type(n) is int:
+        q, r = divmod(x, n)
+        return Fraction(x, n) if r else q
+    if type(x) is float or type(x) is complex:
+        return x / n
+    return normal_form(x if n == 1 else x / n)
+
+
 def is_exact(x) -> bool:
     """True for the exact scalar types, False for float/complex."""
     t = type(x)
@@ -186,11 +209,11 @@ def conjugate(x):
 
 
 def abs_sq(x):
-    """|x|^2, exact (Fraction) for exact scalars, float otherwise."""
+    """|x|^2, exact for exact scalars, float otherwise."""
     if isinstance(x, GaussianRational):
         return x.norm_sq()
     if isinstance(x, _EXACT_TYPES):
-        return Fraction(x) ** 2
+        return x * x
     if isinstance(x, complex):
         return x.real * x.real + x.imag * x.imag
     return x * x

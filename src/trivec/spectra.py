@@ -14,12 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import AltTensor, GroupElement, slocc_apply, tuple_of
-from .invariants import _integer_rescale
-from .scalars import (conjugate, hermitian_eigensystem,
-                      hermitian_eigenvalues, is_exact, to_complex)
+from .scalars import (conjugate, hermitian_eigensystem, hermitian_eigenvalues,
+                      imag_part, is_exact, quotient, real_part, to_complex)
 
 SATURATION_EPS = 1e-9
 SUPPORT_EPS = 1e-10
+# an exact state whose largest amplitude leaves 2^+-512 gets its float copy
+# from the state times a power of two; the rest of the double range is
+# headroom for the rotation's sums
+_RANGE_BITS = 512
 
 # index quadruples of the seven-mode constraints: each sum is bounded by two
 SEVEN_CONSTRAINTS = ((1, 2, 4, 7), (1, 2, 5, 6), (2, 3, 4, 5), (1, 3, 4, 6))
@@ -30,16 +33,16 @@ def one_matrix(p: AltTensor):
 
     rho_ij = sum over sorted pairs (a < b) of P_iab conj(P_jab), divided by
     the squared norm; Hermitian by construction.  Exact states give exact
-    entries, summed on the integer rescale of the state: rho does not change
-    when the state is scaled, so the entries are equal and the sums run on
-    (Gaussian) integers.
+    entries in the exact normal form, so the diagonal is real (``int`` or
+    ``Fraction``).  They are summed on the integer rescale of the state: rho
+    does not change when the state is scaled, so the entries are equal and
+    the sums run on (Gaussian) integers.
     """
     if p.degree != 3:
         raise ValueError("one_matrix expects a three-fermion state")
     if p.is_zero():
         raise ValueError("one_matrix of the zero state is undefined")
-    if p.mode == "exact":
-        p = AltTensor(p.dim, 3, _integer_rescale(p)[1])
+    p = p.integer_rescale()[1]
     n = p.dim
     norm2 = p.norm_sq()
     rho = [[0] * n for _ in range(n)]
@@ -53,23 +56,18 @@ def one_matrix(p: AltTensor):
             for j, vj in entries:
                 rho[i - 1][j - 1] = rho[i - 1][j - 1] + vi * conjugate(vj)
     # raw trace is 3 * norm_sq (each triple feeds three diagonal slots)
-    if is_exact(norm2) and norm2 == 1:
-        return rho
-    return [[x / norm2 for x in row] for row in rho]
+    return [[quotient(x, norm2) for x in row] for row in rho]
 
 
 @dataclass
 class OccupationSpectrum:
-    """Natural occupation numbers with an explicit ordering tag."""
+    """Natural occupation numbers, in descending order."""
 
     dimension: int
     eigenvalues: list
-    ordering: str = "descending"
-    trace: float = 3.0
 
 
-def occupation_spectrum(p: AltTensor, ordering: str = "descending",
-                        rho=None) -> OccupationSpectrum:
+def occupation_spectrum(p: AltTensor, rho=None) -> OccupationSpectrum:
     """Eigenvalues of the one-matrix; exact diagonal matrices skip the solver.
 
     ``rho`` is ``one_matrix(p)`` when the caller has already built it.
@@ -81,16 +79,9 @@ def occupation_spectrum(p: AltTensor, ordering: str = "descending",
         all(not rho[i][j] for i in range(n) for j in range(n) if i != j)
     if exact_diag:
         evs = [rho[i][i] for i in range(n)]
-        evs = [x if isinstance(x, (int, Fraction)) else x.re for x in evs]
     else:
-        evs = hermitian_eigenvalues([[to_complex(x) for x in row] for row in rho])
-    if ordering == "descending":
-        evs = sorted(evs, reverse=True)
-    elif ordering == "ascending":
-        evs = sorted(evs)
-    else:
-        raise ValueError("ordering must be 'descending' or 'ascending'")
-    return OccupationSpectrum(n, evs, ordering)
+        evs = hermitian_eigenvalues(rho)
+    return OccupationSpectrum(n, sorted(evs, reverse=True))
 
 
 def klyachko_check(spec: OccupationSpectrum, eps: float = SATURATION_EPS) -> list:
@@ -100,8 +91,6 @@ def klyachko_check(spec: OccupationSpectrum, eps: float = SATURATION_EPS) -> lis
     within ``eps`` of zero counts as saturated (pinned).
     """
     lam = spec.eigenvalues
-    if spec.ordering != "descending":
-        lam = sorted(lam, reverse=True)
     out = []
     if spec.dimension == 6:
         slack = lam[4] + lam[5] - lam[3]
@@ -130,12 +119,27 @@ _FORBIDDEN_7_FIRST = {"X"}
 _FORBIDDEN_7_TRIPLE = {"V", "VIII", "IX", "X"}
 
 
+def _float_copy(p: AltTensor) -> AltTensor:
+    """``p.to_float()``, first multiplied by the power of two that brings an
+    exact state to about unit size when its largest amplitude would leave
+    the double range; scaling by it is exact."""
+    if p.mode == "exact":
+        e = max(abs(x.numerator).bit_length() - x.denominator.bit_length()
+                for v in p.masks().values()
+                for x in (real_part(v), imag_part(v)) if x)
+        if abs(e) > _RANGE_BITS:
+            p = p.scale(Fraction(1, 2 ** e) if e > 0 else 2 ** -e)
+    return p.to_float()
+
+
 def natural_orbital_transform(p: AltTensor, rho=None):
     """(rotated state, spectrum): express the state on its natural orbitals.
 
     The rotation is unitary, hence inside the group, so the class label is
     unchanged.  Orbitals are ordered by descending occupation.  ``rho`` is
-    ``one_matrix(p)`` when the caller has already built it.
+    ``one_matrix(p)`` when the caller has already built it.  The rotated
+    state is a float copy; that of an exact state beyond the double range
+    is rotated times a power of two.
     """
     if rho is None:
         rho = one_matrix(p)
@@ -147,7 +151,7 @@ def natural_orbital_transform(p: AltTensor, rho=None):
     # inverse-transpose of the group element; A = U-dagger diagonalizes it,
     # so the element itself is the plain transpose of U
     g = GroupElement([[u[j][i] for j in range(p.dim)] for i in range(p.dim)])
-    rotated = slocc_apply(g, p.to_float())
+    rotated = slocc_apply(g, _float_copy(p))
     spectrum = OccupationSpectrum(p.dim, sorted(vals, reverse=True))
     return rotated, spectrum
 

@@ -20,6 +20,7 @@ from trivec.oracle import random_invertible, random_state, random_unimodular
 from trivec.scalars import GaussianRational, TolerancePolicy
 
 from test_acceptance import FAMILY_RANK_T, FAMILY_SAMPLES
+from test_scalars import is_normal
 
 
 def e(dim, *idx):
@@ -220,6 +221,22 @@ def test_classify9_rational_state_matches_its_integer_rescale():
             for j_q, j_p, deg in zip(out.invariants.values(), nine_js(p),
                                      J_DEGREES):
                 assert j_q[0] == Fraction(j_p, 3 ** deg), (label, deg)
+
+
+def test_exact_invariants_come_back_in_the_normal_form():
+    # int when integral, Fraction when real, GaussianRational only when the
+    # imaginary part is nonzero; the Gaussian factor 3/5+4/5 i makes
+    # GaussianRational sums whose imaginary parts cancel
+    phase = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    states = [(6, canonical_state(6, "W").scale(phase)),
+              (6, canonical_state(6, "GHZ")),
+              (7, canonical_state(7, "X")),
+              (7, canonical_state(7, "IX").scale(Fraction(2, 7))),
+              (8, canonical_state(8, "XV").scale(phase)),
+              (9, canonical_state(9, "family4", FAMILY_SAMPLES[4]).scale(Fraction(1, 3)))]
+    for dim, p in states:
+        for name, (v, _) in classify(p).invariants.items():
+            assert is_normal(v), (dim, name, v)
 
 
 def test_float_moved_families_keep_rank_t():

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -5,7 +6,9 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +150,15 @@ def test_embed_rejects_malformed_documents(tmp_path, capsys):
                                "--input", path)
         assert code == 2
         assert field in err
+    # a label that is a list or an object is named, not a traceback
+    for kind, idx in (("qubit3", [[0], 0, 0]), ("qutrit3", [{"a": 1}, 1, 1]),
+                      ("qubit3", [0, 0, {}]), ("qutrit3", [1, [2], 3])):
+        first = dict(entry, indices=[0, 0, 0] if kind == "qubit3" else [1, 1, 1])
+        path = write_state(tmp_path, "psi.json",
+                           {"amplitudes": [first, dict(entry, indices=idx)]})
+        code, out, err = run_cli(capsys, "embed", "--type", kind, "--input", path)
+        assert (code, out) == (2, ""), idx
+        assert "amplitudes[1].indices" in err, idx
 
 
 def test_nonincreasing_indices_normalized():
@@ -540,3 +552,71 @@ def test_repeated_main_calls_match_fresh_runs(tmp_path, capsys, monkeypatch):
         fresh = subprocess.run([sys.executable, "-m", "trivec.cli"] + argv,
                                env=env, capture_output=True, text=True, timeout=120)
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+@pytest.mark.parametrize("dim,label,params,factor", [
+    (6, "GHZ", (), 10 ** 400), (6, "GHZ", (), Fraction(1, 10 ** 400)),
+    (7, "X", (), 10 ** 400), (7, "X", (), Fraction(1, 10 ** 400)),
+    # J12..Delta132 print with more digits than str() of an int allows
+    (9, "family1", (1, 2, 4, 8), 10 ** 400)],
+    ids=["6-GHZ-1e400", "6-GHZ-1e-400", "7-X-1e400", "7-X-1e-400", "9-family1-1e400"])
+def test_exact_states_beyond_the_double_range(tmp_path, capsys, dim, label,
+                                              params, factor):
+    # an exact state is prescaled by a power of two only for its float copy;
+    # its invariants stay exact, and scale by factor^degree
+    p = canonical_state(dim, label, params)
+    runs = {}
+    for name, q in (("unit", p), ("scaled", p.scale(factor))):
+        path = write_state(tmp_path, f"{name}.json", state_document(q, "rational"))
+        for command in ("classify", "rdm"):
+            code, out, err = run_cli(capsys, command, "--input", path)
+            assert (code, err) == (0, ""), (name, command)
+            runs[name, command] = json.loads(out)
+    unit, scaled = runs["unit", "classify"], runs["scaled", "classify"]
+    assert scaled["classification"] == unit["classification"]
+    assert scaled["classification"]["label"] == label
+    assert scaled["spectrum"] == unit["spectrum"]
+    assert runs["scaled", "rdm"] == runs["unit", "rdm"]
+    assert scaled["invariants"].keys() == unit["invariants"].keys()
+    for name, field in unit["invariants"].items():
+        got = scaled["invariants"][name]
+        assert (got["degree"], got["zero"]) == (field["degree"], field["zero"])
+        power = factor ** field["degree"]
+        for part in ("re", "im"):
+            assert _read_exact(got[part]) == _read_exact(field[part]) * power, name
+
+
+def _read_exact(text):
+    """The Fraction a report field prints, however many digits it has."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    # the tracer looks each name up with getattr when a traced run starts;
+    # a renamed function would otherwise pass every other test
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    tables = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in ("SPANNED", "COUNTED"):
+                    tables[target.id] = ast.literal_eval(node.value)
+    names = [(mod, fn) for mod, fns in tables["SPANNED"].items() for fn in fns]
+    names += list(tables["COUNTED"].values())
+    names += [("scalars", "matrix_is_exact"), ("scalars", "GaussianRational")]
+    assert len(names) > 20
+    for mod, fn in names:
+        assert callable(getattr(importlib.import_module(f"trivec.{mod}"), fn, None)), \
+            f"trivec.{mod}.{fn}"
+
+
+def test_embed_of_amplitudes_beyond_the_double_range(tmp_path, capsys):
+    # exact zero tests never read the float size of the state
+    for value in ("1e400", "1e-400"):
+        psi = {"amplitudes": [{"indices": [0, 0, 0], "re": value},
+                              {"indices": [1, 1, 1], "re": value}]}
+        path = write_state(tmp_path, "psi.json", psi)
+        code, out, err = run_cli(capsys, "embed", "--type", "qubit3", "--input", path)
+        assert (code, err) == (0, ""), value
+        assert json.loads(out)["classification"]["label"] == "GHZ"

@@ -9,8 +9,10 @@ from trivec.exterior import (AltTensor, GroupElement, SubsetIndexer,
                              interior, is_primitive, join_seven, nine_q,
                              pairing, semisimple_state, slocc_apply,
                              split_seven, star, symplectic_pairing, wedge)
-from trivec.oracle import random_state, random_unimodular
-from trivec.scalars import GaussianRational
+from trivec.oracle import random_invertible, random_state, random_unimodular
+from trivec.scalars import GaussianRational, imag_part, real_part
+
+from test_scalars import is_normal
 
 
 def e(dim, *idx):
@@ -287,6 +289,52 @@ def test_simplify_exact_on_int_parts():
         for v in canonical_state(7, label).masks().values():
             parts = (v.re, v.im) if isinstance(v, GaussianRational) else (v,)
             assert all(type(x) is int for x in parts), (label, v)
+            # a Gaussian coefficient is one with a nonzero imaginary part
+            assert not isinstance(v, GaussianRational) or v.im, (label, v)
+
+
+def test_alt_tensor_stores_the_exact_normal_form():
+    t = AltTensor(6, 3, {0b111: GaussianRational(Fraction(1, 2), 0),
+                         0b1011: Fraction(4, 2), 0b1101: GaussianRational(3),
+                         0b10011: GaussianRational(1, -1), 0b100011: Fraction(1, 3),
+                         0b110001: GaussianRational(0)})
+    assert t.masks() == {0b111: Fraction(1, 2), 0b1011: 2, 0b1101: 3,
+                         0b10011: GaussianRational(1, -1), 0b100011: Fraction(1, 3)}
+    assert [type(v) for v in t.masks().values()] == [
+        Fraction, int, int, GaussianRational, Fraction]
+    # arithmetic that cancels every imaginary part comes back real
+    i = GaussianRational(0, 1)
+    for s in (t.scale(i).scale(-i), t + t.conjugate(), t.scale(i) - t.scale(i).conjugate()):
+        assert all(is_normal(v) for v in s.masks().values()), s
+    assert all(type(v) is not GaussianRational for v in (t + t.conjugate()).masks().values())
+    # the group image of a Gaussian state whose 123 coefficient comes out real:
+    # (1/3)(1+i) + (1/3)(1-i) = 2/3
+    p = AltTensor.from_terms(7, 3, [((1, 2, 3), GaussianRational(1, 1)),
+                                    ((1, 2, 4), GaussianRational(1, -1))])
+    gp = [[Fraction(int(i == j)) for j in range(7)] for i in range(7)]
+    gp[2][2] = gp[2][3] = Fraction(1, 3)
+    image = slocc_apply(GroupElement.from_inverse_transpose(gp), p)
+    assert image.masks() == {0b111: Fraction(2, 3), 0b1011: GaussianRational(1, -1)}
+    assert type(image.masks()[0b111]) is Fraction
+    for label in ("IV", "X"):
+        moved = slocc_apply(random_invertible(7, 202), canonical_state(7, label))
+        assert all(is_normal(v) for v in moved.masks().values()), label
+
+
+def test_integer_rescale_clears_denominators_by_their_lcm():
+    p = AltTensor(7, 3, {0b111: Fraction(1, 6), 0b1101: 5,
+                         0b1011: GaussianRational(Fraction(3, 4), Fraction(-1, 10))})
+    scale, q = p.integer_rescale()
+    assert scale == 60
+    assert q.masks() == {0b111: 10, 0b1011: GaussianRational(45, -6), 0b1101: 300}
+    assert q == p.scale(60)
+    assert all(type(x) is int for v in q.masks().values()
+               for x in (real_part(v), imag_part(v)))
+    # integer, Gaussian-integer and float tensors come back as they are
+    for r in (canonical_state(7, "X"), canonical_state(6, "GHZ"), p.to_float(),
+              AltTensor.zero(6, 3)):
+        scale, same = r.integer_rescale()
+        assert scale == 1 and same is r
 
 
 def test_semisimple_state_building_blocks():

@@ -11,7 +11,8 @@ from trivec.scalars import (GaussianRational, TolerancePolicy,
                             _content_free, _householder_diagonal,
                             _pivoted_qr_diagonal, determinant, float_rank,
                             hermitian_eigensystem, hermitian_eigenvalues,
-                            is_exact, pfaffian, rank, row_reduce)
+                            is_exact, normal_form, pfaffian, quotient, rank,
+                            row_reduce)
 
 
 def test_gaussian_rational_basic_arithmetic():
@@ -72,6 +73,45 @@ def test_gaussian_division_is_exact_in_z_i():
     assert GaussianRational(Fraction(1, 3), 1) / Fraction(1, 3) == GaussianRational(1, 3)
     with pytest.raises(ZeroDivisionError):
         GaussianRational(1, 1) / GaussianRational(0)
+
+
+def is_normal(x):
+    """True when x is an int, a Fraction that is not integral, or a
+    GaussianRational with a nonzero imaginary part."""
+    t = type(x)
+    return (t is int or (t is Fraction and x.denominator != 1)
+            or (t is GaussianRational and x.im != 0))
+
+
+def test_normal_form_of_exact_scalars():
+    cases = [(GaussianRational(Fraction(1, 2), 0), Fraction(1, 2)),
+             (GaussianRational(3), 3), (Fraction(4, 2), 2), (Fraction(-1, 3), Fraction(-1, 3)),
+             (GaussianRational(1, -1), GaussianRational(1, -1)), (7, 7), (True, 1)]
+    for x, want in cases:
+        got = normal_form(x)
+        assert got == want and type(got) is type(want) and is_normal(got), x
+    for x in (0.5, 2.0, 1 + 2j, 3j):
+        assert normal_form(x) is x
+
+
+def test_quotient_returns_the_normal_form():
+    cases = [((6, 3), 2), ((1, 2), Fraction(1, 2)), ((-9, 6), Fraction(-3, 2)),
+             ((Fraction(4, 3), Fraction(2, 3)), 2),
+             ((Fraction(1, 2), 1), Fraction(1, 2)), ((Fraction(6, 1), 1), 6),
+             ((GaussianRational(4, 2), 2), GaussianRational(2, 1)),
+             ((GaussianRational(6, 0), 4), Fraction(3, 2)),
+             ((GaussianRational(2, 2), GaussianRational(1, 1)), 2),
+             ((GaussianRational(Fraction(1, 2), 3), GaussianRational(0, 1)),
+              GaussianRational(3, Fraction(-1, 2))),
+             ((GaussianRational(5, 5), 1), GaussianRational(5, 5)),
+             ((0, Fraction(3, 7)), 0)]
+    for (x, n), want in cases:
+        got = quotient(x, n)
+        assert got == want and type(got) is type(want) and is_normal(got), (x, n)
+    # floats and complexes pass through as x / n, bit for bit
+    for x, n in ((1.0, 3), (2.5, 1), (1 + 2j, 3), (-0.0 + 1j, 1), (0.1, 7.0)):
+        got = quotient(x, n)
+        assert type(got) is type(x / n) and repr(got) == repr(x / n), (x, n)
 
 
 def test_gaussian_equality_hash_and_str_do_not_see_the_part_type():
