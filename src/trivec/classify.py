@@ -9,9 +9,11 @@ comes back as ``Unclassified`` with a diagnostic payload, never as a nearest
 match.
 
 Each classifier also returns the invariants it printed in a report, from the
-covariants it built once.  Exact states are classified on their integer
-rescale, which keeps every covariant in integer arithmetic; labels and ranks
-are scale-free, and each invariant is divided back by scale**degree.
+covariants it built once.  P and cP lie in one class, so every state is
+classified on one multiple of itself, ``AltTensor.representative``: an exact
+state on its integer rescale, a float state at unit size, so that no float
+decision depends on the input's scale.  Each invariant is taken back to the
+caller's state by homogeneity.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .exterior import (AltTensor, GroupElement, mask_of, merge_sign,
 from .invariants import (DELTA_DEGREES, J_DEGREES, dual_trivector, eight_i,
                          invariant_is_zero, nine_deltas, nine_js_scaled,
                          quartic_d, seven_j)
-from .scalars import (DEFAULT_TOLERANCE, TolerancePolicy, imag_part, quotient,
-                      rank, real_part, row_reduce, to_complex)
+from .scalars import (DEFAULT_TOLERANCE, TolerancePolicy, imag_part, rank,
+                      real_part, row_reduce, to_complex)
 
 
 @dataclass
@@ -36,7 +38,8 @@ class ClassLabel:
     """Classification outcome: label plus the signature that justified it.
 
     ``invariants`` maps the report name of each polynomial invariant the
-    classifier evaluated to ``(value, degree)`` for the caller's state.
+    classifier evaluated to ``(value, degree)`` for the caller's state, and
+    ``zero`` maps the same names to whether the invariant vanishes.
     """
 
     dimension: int
@@ -44,6 +47,7 @@ class ClassLabel:
     signature: tuple
     detail: dict = field(default_factory=dict)
     invariants: dict = field(default_factory=dict)
+    zero: dict = field(default_factory=dict)
 
     @property
     def classified(self) -> bool:
@@ -108,17 +112,18 @@ def _check(p, dim):
         raise ValueError(f"expected a three-form in {dim} dimensions")
 
 
-def _on_integer_rescale(classifier):
-    """Run ``classifier`` on the integer rescale of a state and divide each
-    exact invariant it returns by scale**degree, into the exact normal form;
-    float states pass through."""
+def _on_representative(classifier):
+    """Run ``classifier`` on ``p.representative()`` and take each invariant
+    it returns back to ``p``; zero flags are decided on the representative."""
     @functools.wraps(classifier)
-    def run(p, *args, **kwargs):
-        scale, q = p.integer_rescale()
-        out = classifier(q, *args, **kwargs)
-        if p.mode == "exact":
-            out.invariants = {name: (quotient(v, scale ** deg), deg)
-                              for name, (v, deg) in out.invariants.items()}
+    def run(p, tol: TolerancePolicy = DEFAULT_TOLERANCE, *args, **kwargs):
+        q, unscale = p.representative()
+        out = classifier(q, tol, *args, **kwargs)
+        scale = q.max_abs()
+        out.zero = {name: invariant_is_zero(v, scale, deg, tol.zero_epsilon)
+                    for name, (v, deg) in out.invariants.items()}
+        out.invariants = {name: (unscale(v, deg), deg)
+                          for name, (v, deg) in out.invariants.items()}
         return out
     return run
 
@@ -211,7 +216,7 @@ def rank_triple_6(p: AltTensor, tol=DEFAULT_TOLERANCE, k=None):
             kappa_map(p, (2,)).rank(tol))
 
 
-@_on_integer_rescale
+@_on_representative
 def classify6(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:
     """Invariant decision chain for six dimensions, table cross-validated.
 
@@ -239,7 +244,7 @@ def classify6(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
     triple = rank_triple_6(p, tol, k)
     table = TABLE1.get(triple)
     detail = {"rank_triple": triple}
-    if p.mode == "float":  # for the real split; float states are not rescaled
+    if p.mode == "float":  # for the real split, which reads this representative
         detail["k_matrix"] = k.matrix
     label = chain
     if table != chain:
@@ -254,12 +259,14 @@ def _float_zero_tensor(p, scale, eps=1e-12):
     return all(abs(v) <= eps * max(scale, 1e-300) for v in p.masks().values())
 
 
+@_on_representative
 def classify6_real(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:
     """Real classification: the generic class splits by the sign of D.
 
     Requires every amplitude real.  For negative D in float mode the
     normalized 6x6 covariant squares to minus the identity (it defines a
-    complex structure); that identity is verified as a sanity check.
+    complex structure); that identity is verified as a sanity check, on the
+    representative that both K and D are read on.
     """
     _check(p, 6)
     for v in p.masks().values():
@@ -297,7 +304,7 @@ def rank_triple_7(p: AltTensor, tol=DEFAULT_TOLERANCE, cov=None):
             cov.m_map.rank(tol))
 
 
-@_on_integer_rescale
+@_on_representative
 def classify7(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:
     """Rank-triple lookup; the ten signatures are pairwise distinct."""
     _check(p, 7)
@@ -343,7 +350,7 @@ def support_reduction(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE):
     return GroupElement.from_inverse_transpose(cols), len(piv_cols)
 
 
-@_on_integer_rescale
+@_on_representative
 def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:
     """Quadruple lookup, delegating to lower tables on reduced support.
 
@@ -387,7 +394,7 @@ def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
 # nine dimensions
 
 
-@_on_integer_rescale
+@_on_representative
 def classify9_family(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE,
                      compute_rank_t: bool = True) -> ClassLabel:
     """Family assignment from the vanishing pattern of the discriminants.

@@ -35,8 +35,7 @@ from . import __version__
 from .classify import classify
 from .exterior import (AltTensor, canonical_state, embed_three_qubits,
                        embed_three_qutrits, slocc_apply, sort_indices)
-from .invariants import (invariant_is_zero, qutrit_normal_form_coefficients,
-                         qutrit_normal_invariants)
+from .invariants import qutrit_normal_form_coefficients, qutrit_normal_invariants
 from .oracle import random_invertible, random_state, selfcheck
 from .scalars import GaussianRational, imag_part, normal_form, to_complex
 from .spectra import occupation_spectrum, one_matrix, pinning_analysis
@@ -160,46 +159,9 @@ def emit(doc, stream=None):
 # report assembly
 
 
-# the highest degree, in the amplitudes, of an invariant a report evaluates
-_TOP_DEGREE = {6: 4, 7: 7, 8: 16, 9: 132}
-# a float state is prescaled when its largest amplitude raised to that degree
-# leaves 2^+-512; the other half of the double range is headroom for the
-# combinatorial size of the invariants
-_RANGE_BITS = 512
-
-
-def _ldexp(z, k):
-    """z * 2^k for a complex z, saturating to infinity past the double range."""
-    def part(x):
-        try:
-            return math.ldexp(x, k)
-        except OverflowError:
-            return math.copysign(math.inf, x)
-    return complex(part(z.real), part(z.imag))
-
-
-def _prescale(p: AltTensor, mode: str) -> tuple:
-    """(state, e): a float state far from unit size comes back times 2^-e.
-
-    Scaling by a power of two is exact and commutes with every float
-    operation short of overflow and underflow, so labels, spectra and the
-    invariants (scaled back by 2^(e degree)) are those of the input.  States
-    the double range can hold are returned as they are, with e = 0.
-    """
-    if mode != "float" or p.is_zero():
-        return p, 0
-    top = max(max(abs(v.real), abs(v.imag)) for v in p.masks().values())
-    e = math.frexp(top)[1]
-    if abs(e) * _TOP_DEGREE[p.dim] <= _RANGE_BITS:
-        return p, 0
-    return AltTensor(p.dim, 3, {m: _ldexp(v, -e) for m, v in p.masks().items()}), e
-
-
-def _value_field(value, mode, degree, scale, e=0):
-    """Report field of an invariant of a state prescaled by 2^-e."""
-    field = {"degree": degree, "zero": invariant_is_zero(value, scale, degree)}
-    if e:
-        value = _ldexp(value, e * degree)
+def _value_field(value, mode, degree, zero):
+    """Report field of an invariant whose zero flag is already decided."""
+    field = {"degree": degree, "zero": zero}
     field["re"], field["im"] = _format_scalar(value, mode)
     return field
 
@@ -222,9 +184,7 @@ def _spectrum_section(p: AltTensor, label: str) -> dict:
 
 
 def build_report(p: AltTensor, mode: str, real: bool = False) -> dict:
-    q, e = _prescale(p, mode)
-    scale = q.max_abs()
-    label = classify(q, real_mode=real)
+    label = classify(p, real_mode=real)
     report = {
         "format": FORMAT_VERSION,
         "tool": {"name": "trivec", "version": __version__},
@@ -233,8 +193,7 @@ def build_report(p: AltTensor, mode: str, real: bool = False) -> dict:
             "dimension": p.dim,
             "degree": 3,
             "amplitude_count": len(p.masks()),
-            "norm_sq": _format_scalar(_ldexp(q.norm_sq(), 2 * e) if e
-                                      else p.norm_sq(), mode)[0],
+            "norm_sq": _format_scalar(p.norm_sq(), mode)[0],
         },
         "classification": {
             "dimension": p.dim,
@@ -246,13 +205,13 @@ def build_report(p: AltTensor, mode: str, real: bool = False) -> dict:
     }
     inv = report["invariants"]
     for name, (value, degree) in label.invariants.items():
-        inv[name] = _value_field(value, mode, degree, scale, e)
+        inv[name] = _value_field(value, mode, degree, label.zero[name])
     if "delta132_confidence" in label.detail:
         inv["Delta132"]["confidence"] = label.detail["delta132_confidence"]
     if "rank_T" in label.detail:
         report["classification"]["rank_T"] = label.detail["rank_T"]
     if p.dim in (6, 7) and not p.is_zero():
-        report["spectrum"] = _spectrum_section(q, label.label)
+        report["spectrum"] = _spectrum_section(p, label.label)
     return report
 
 
@@ -372,8 +331,7 @@ def cmd_embed(args) -> int:
         nf = qutrit_normal_form_coefficients(psi)
         if nf is not None and mode == "rational":
             vals = qutrit_normal_invariants(*nf)
-            scale = p.max_abs()
-            verdicts = {k: _value_field(vals[k], mode, deg, scale)
+            verdicts = {k: _value_field(vals[k], mode, deg, not vals[k])
                         for k, deg in (("D36", 36), ("D24", 24), ("D21", 21))}
             report["qutrit_family_separation"] = verdicts
         else:
@@ -386,7 +344,6 @@ def cmd_rdm(args) -> int:
     p, mode = load_state(args.input)
     if p.is_zero():
         raise CliError("amplitudes: zero state has no density matrix")
-    p, _ = _prescale(p, mode)
     report = {
         "format": FORMAT_VERSION,
         "tool": {"name": "trivec", "version": __version__},

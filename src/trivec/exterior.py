@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 
 from .scalars import (GaussianRational, abs_sq, conjugate, imag_part, is_exact,
-                      normal_form, real_part, row_reduce, to_complex)
+                      normal_form, quotient, real_part, row_reduce, to_complex)
 
 
 def mask_of(indices) -> int:
@@ -64,6 +64,20 @@ def merge_sign(a: int, b: int) -> int:
         s += (a >> low.bit_length()).bit_count()
         bb ^= low
     return -1 if s & 1 else 1
+
+
+def ldexp(z, k):
+    """z * 2^k for a float or complex z, saturating to infinity past the
+    double range."""
+    complex_z = type(z) is complex
+    try:
+        if complex_z:
+            return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+        return math.ldexp(z, k)
+    except OverflowError:
+        if complex_z:
+            return complex(ldexp(z.real, k), ldexp(z.imag, k))
+        return math.copysign(math.inf, z)
 
 
 def sort_indices(indices):
@@ -254,6 +268,23 @@ class AltTensor:
             return 1, self
         return scale, self.scale(scale)
 
+    def representative(self) -> tuple:
+        """(q, unscale): the multiple q of this state that decisions read.
+
+        An exact state gives its integer rescale.  A float state gives 2^-e
+        times itself, with the exact power of two that puts its largest real
+        or imaginary part in [1/2, 1), whatever its size.  ``unscale(v, d)``
+        takes an invariant of degree d of q back to this state.
+        """
+        if self.mode != "float":
+            scale, q = self.integer_rescale()
+            return q, lambda v, d: quotient(v, scale ** d)
+        top = max(max(abs(v.real), abs(v.imag)) for v in self._c.values())
+        e = math.frexp(top)[1]
+        q = AltTensor(self.dim, self.degree,
+                      {m: ldexp(v, -e) for m, v in self._c.items()}) if e else self
+        return q, lambda v, d: ldexp(v, e * d)
+
     # -- arithmetic ---------------------------------------------------
 
     def _check_same_shape(self, other):
@@ -420,13 +451,16 @@ def symplectic_pairing(p: AltTensor, q: AltTensor):
 
 
 def _invert_transpose(matrix):
-    """Inverse transpose by Gauss-Jordan on [A | I]; exact over exact scalars."""
+    """(inverse transpose, determinant) of a square matrix, by one
+    Gauss-Jordan elimination of [A | I]; exact over exact scalars."""
     n = len(matrix)
-    rows, pivots, _ = row_reduce([list(row) + [int(i == j) for j in range(n)]
-                                  for i, row in enumerate(matrix)])
+    if any(len(row) != n for row in matrix):
+        raise ValueError("group element matrix must be square")
+    rows, pivots, det = row_reduce([list(row) + [int(i == j) for j in range(n)]
+                                    for i, row in enumerate(matrix)])
     if pivots != list(range(n)):
-        raise ValueError("singular matrix has no inverse")
-    return [[rows[j][n + i] for j in range(n)] for i in range(n)]
+        raise ValueError("group element must be invertible")
+    return [[rows[j][n + i] for j in range(n)] for i in range(n)], normal_form(det)
 
 
 class GroupElement:
@@ -435,15 +469,9 @@ class GroupElement:
     __slots__ = ("dim", "matrix", "det", "inverse_transpose")
 
     def __init__(self, matrix):
-        from .scalars import determinant as _det
         self.dim = len(matrix)
-        if any(len(row) != self.dim for row in matrix):
-            raise ValueError("group element matrix must be square")
         self.matrix = [list(row) for row in matrix]
-        self.det = _det(self.matrix)
-        if not self.det:
-            raise ValueError("group element must be invertible")
-        self.inverse_transpose = _invert_transpose(self.matrix)
+        self.inverse_transpose, self.det = _invert_transpose(self.matrix)
 
     @classmethod
     def from_inverse_transpose(cls, it) -> "GroupElement":
@@ -452,13 +480,12 @@ class GroupElement:
         ``it`` is kept as given, so the element acts through exactly that
         matrix in float mode too.
         """
-        from .scalars import determinant as _det
         g = cls.__new__(cls)
         g.dim = len(it)
         g.inverse_transpose = [list(row) for row in it]
-        # inverse transposition is an involution
-        g.matrix = _invert_transpose(g.inverse_transpose)
-        g.det = _det(g.matrix)
+        # inverse transposition is an involution, and det(g) = 1 / det(it)
+        g.matrix, det = _invert_transpose(g.inverse_transpose)
+        g.det = normal_form(1 / det)
         return g
 
     @classmethod

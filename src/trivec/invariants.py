@@ -177,18 +177,19 @@ J_DEGREES = (12, 18, 24, 30)
 
 
 def nine_js_scaled(p: AltTensor):
-    """((J12, J18, J24, J30), scale, T rows) of the integer-rescaled state.
+    """((J12, J18, J24, J30), unscale, T rows) of the representative.
 
-    Exact states are rescaled to (Gaussian) integer coefficients first, so
-    the matrix powers run on machine/big integers.  The invariants of the
-    original state are the returned values divided by scale**degree.  The
-    84 x 84 rows are T(scale P) = scale^3 T(P), so their rank is the rank of
-    T(P).  The identities Tr T = Tr T^2 = Tr T^3 = 0 are verified on every
-    call.
+    The representative (``AltTensor.representative``) of an exact state has
+    (Gaussian) integer coefficients, so the matrix powers run on
+    machine/big integers; that of a float state has unit size, so they stay
+    in the double range.  ``unscale(J, degree)`` is the invariant of the
+    original state.  The 84 x 84 rows are T(cP) = c^3 T(P), so their rank is
+    the rank of T(P).  The identities Tr T = Tr T^2 = Tr T^3 = 0 are verified
+    on every call.
     """
     if p.dim != 9 or p.degree != 3:
         raise ValueError("nine_js expects a three-form in nine dimensions")
-    scale, work = p.integer_rescale()
+    work, unscale = p.representative()
     tm = t_matrix_rows(work)
     traces = t_power_traces(tm)
     if p.mode != "float":
@@ -201,13 +202,13 @@ def nine_js_scaled(p: AltTensor):
                 raise ArithmeticError("trace identities violated beyond tolerance")
     js = tuple(quotient(sign * tr, den) for den, tr, sign in zip(
         _J_DENOMS, (traces[4], traces[6], traces[8], traces[10]), (1, -1, 1, -1)))
-    return js, scale, tm
+    return js, unscale, tm
 
 
 def nine_js(p: AltTensor):
     """The four trace invariants (J12, J18, J24, J30)."""
-    js, scale, _ = nine_js_scaled(p)
-    return tuple(quotient(j, scale ** deg) for j, deg in zip(js, J_DEGREES))
+    js, unscale, _ = nine_js_scaled(p)
+    return tuple(unscale(j, deg) for j, deg in zip(js, J_DEGREES))
 
 
 def delta_24(js):

@@ -250,7 +250,9 @@ class TolerancePolicy:
     the noise floor ``16 max(rows, cols) eps |R_11|`` bounds the backward
     error of the factorization.  Zero tests on invariant values scale
     ``zero_epsilon`` by the maximum input amplitude raised to the
-    invariant's homogeneous degree.
+    invariant's homogeneous degree.  The classifiers apply every threshold
+    to the unit-scale representative of a float state
+    (``AltTensor.representative``), never to the state as given.
     """
 
     relative_rank_epsilon: float = 1e-10

@@ -19,10 +19,6 @@ from .scalars import (conjugate, hermitian_eigensystem, hermitian_eigenvalues,
 
 SATURATION_EPS = 1e-9
 SUPPORT_EPS = 1e-10
-# an exact state whose largest amplitude leaves 2^+-512 gets its float copy
-# from the state times a power of two; the rest of the double range is
-# headroom for the rotation's sums
-_RANGE_BITS = 512
 
 # index quadruples of the seven-mode constraints: each sum is bounded by two
 SEVEN_CONSTRAINTS = ((1, 2, 4, 7), (1, 2, 5, 6), (2, 3, 4, 5), (1, 3, 4, 6))
@@ -34,15 +30,16 @@ def one_matrix(p: AltTensor):
     rho_ij = sum over sorted pairs (a < b) of P_iab conj(P_jab), divided by
     the squared norm; Hermitian by construction.  Exact states give exact
     entries in the exact normal form, so the diagonal is real (``int`` or
-    ``Fraction``).  They are summed on the integer rescale of the state: rho
-    does not change when the state is scaled, so the entries are equal and
-    the sums run on (Gaussian) integers.
+    ``Fraction``).  They are summed on the representative of the state
+    (``AltTensor.representative``): rho does not change when the state is
+    scaled, so the entries are equal, the exact sums run on (Gaussian)
+    integers and the float norm stays in the double range.
     """
     if p.degree != 3:
         raise ValueError("one_matrix expects a three-fermion state")
     if p.is_zero():
         raise ValueError("one_matrix of the zero state is undefined")
-    p = p.integer_rescale()[1]
+    p = p.representative()[0]
     n = p.dim
     norm2 = p.norm_sq()
     rho = [[0] * n for _ in range(n)]
@@ -120,16 +117,15 @@ _FORBIDDEN_7_TRIPLE = {"V", "VIII", "IX", "X"}
 
 
 def _float_copy(p: AltTensor) -> AltTensor:
-    """``p.to_float()``, first multiplied by the power of two that brings an
-    exact state to about unit size when its largest amplitude would leave
-    the double range; scaling by it is exact."""
+    """The float representative of ``p``: an exact state is first brought
+    to about unit size by an exact power of two, so that its float copy
+    exists whatever its size."""
     if p.mode == "exact":
         e = max(abs(x.numerator).bit_length() - x.denominator.bit_length()
                 for v in p.masks().values()
                 for x in (real_part(v), imag_part(v)) if x)
-        if abs(e) > _RANGE_BITS:
-            p = p.scale(Fraction(1, 2 ** e) if e > 0 else 2 ** -e)
-    return p.to_float()
+        p = p.scale(Fraction(1, 2 ** e) if e > 0 else 2 ** -e).to_float()
+    return p.representative()[0]
 
 
 def natural_orbital_transform(p: AltTensor, rho=None):
@@ -138,8 +134,7 @@ def natural_orbital_transform(p: AltTensor, rho=None):
     The rotation is unitary, hence inside the group, so the class label is
     unchanged.  Orbitals are ordered by descending occupation.  ``rho`` is
     ``one_matrix(p)`` when the caller has already built it.  The rotated
-    state is a float copy; that of an exact state beyond the double range
-    is rotated times a power of two.
+    state is the float representative of the state, rotated.
     """
     if rho is None:
         rho = one_matrix(p)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,8 +14,8 @@ import trivec.covariants
 import trivec.exterior
 import trivec.invariants
 from trivec.cli import parse_state, state_document
-from trivec.exterior import (AltTensor, canonical_state, embed_three_qutrits,
-                             slocc_apply)
+from trivec.exterior import (AltTensor, GroupElement, canonical_state,
+                             embed_three_qutrits, slocc_apply)
 from trivec.invariants import J_DEGREES, nine_js
 from trivec.oracle import random_invertible, random_state, random_unimodular
 from trivec.scalars import GaussianRational, TolerancePolicy
@@ -244,6 +245,52 @@ def test_float_moved_families_keep_rank_t():
     for fam, params in FAMILY_SAMPLES.items():
         p = slocc_apply(g, canonical_state(9, f"family{fam}", params)).to_float()
         assert classify9_family(p).detail["rank_T"] == FAMILY_RANK_T[fam], fam
+
+
+def _times_power_of_two(p, k):
+    return AltTensor(p.dim, 3, {m: complex(math.ldexp(v.real, k), math.ldexp(v.imag, k))
+                                for m, v in p.masks().items()})
+
+
+def _normal_ldexp(x, n):
+    """x * 2^n when that is zero or a normal double, else None."""
+    if not x:
+        return x
+    e = math.frexp(x)[1] + n
+    return math.ldexp(x, n) if -1021 <= e <= 1024 else None
+
+
+def test_float_classification_does_not_depend_on_scale():
+    # P and 2^k P lie in one class, and a float state is classified on the
+    # unit-scale multiple of itself that both share: label, signature, rank
+    # of T and zero flags agree, nothing overflows, and an invariant of
+    # degree d comes back times exactly 2^(k d) wherever a double holds it.
+    # Nine modes are moved by three shears: a dense nine-mode copy costs
+    # four times as much to classify.
+    rows = ([(6, r) for r in TABLE1.values()] + [(7, r) for r in TABLE2.values()]
+            + [(8, r) for r in TABLE3.values()]
+            + [(9, f"family{fam}") for fam in range(1, 8)])
+    shears = [[int(i == j) for j in range(9)] for i in range(9)]
+    shears[0][3], shears[4][7], shears[8][2] = 1, -1, 1
+    for dim, row in rows:
+        p = canonical_state(dim, row, FAMILY_SAMPLES.get(int(row[6:]) if dim == 9 else 0, ()))
+        g = GroupElement(shears) if dim == 9 else random_unimodular(dim, 100)
+        for moved, q in ((False, p), (True, slocc_apply(g, p))):
+            f = q.to_float()
+            want = classify(f)
+            for k in (-300, -40, -8, 8, 40, 300):
+                out = classify(_times_power_of_two(f, k))
+                case = (dim, row, moved, k)
+                assert (out.label, out.signature) == (want.label, want.signature), case
+                assert out.detail.get("rank_T") == want.detail.get("rank_T"), case
+                assert out.zero == want.zero, case
+                assert out.invariants.keys() == want.invariants.keys(), case
+                for name, (v, deg) in want.invariants.items():
+                    got = out.invariants[name][0]
+                    for part in ("real", "imag"):
+                        exact = _normal_ldexp(getattr(v, part), k * deg)
+                        if exact is not None:
+                            assert getattr(got, part) == exact, (case, name)
 
 
 def test_classify9_builds_t_once(monkeypatch):

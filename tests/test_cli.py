@@ -562,8 +562,9 @@ def test_repeated_main_calls_match_fresh_runs(tmp_path, capsys, monkeypatch):
     ids=["6-GHZ-1e400", "6-GHZ-1e-400", "7-X-1e400", "7-X-1e-400", "9-family1-1e400"])
 def test_exact_states_beyond_the_double_range(tmp_path, capsys, dim, label,
                                               params, factor):
-    # an exact state is prescaled by a power of two only for its float copy;
-    # its invariants stay exact, and scale by factor^degree
+    # an exact state meets a power of two only in the float copy that the
+    # pinning analysis rotates; its invariants stay exact, and scale by
+    # factor^degree
     p = canonical_state(dim, label, params)
     runs = {}
     for name, q in (("unit", p), ("scaled", p.scale(factor))):
@@ -612,11 +613,14 @@ def test_every_name_the_bench_tracer_wraps_exists():
 
 
 def test_embed_of_amplitudes_beyond_the_double_range(tmp_path, capsys):
-    # exact zero tests never read the float size of the state
-    for value in ("1e400", "1e-400"):
+    # exact zero tests never read the float size of the state, and a float
+    # state is classified at unit size, however large or small it is
+    for mode, value in (("exact", "1e400"), ("exact", "1e-400"),
+                        ("float", "1e200"), ("float", "1e-8")):
         psi = {"amplitudes": [{"indices": [0, 0, 0], "re": value},
                               {"indices": [1, 1, 1], "re": value}]}
         path = write_state(tmp_path, "psi.json", psi)
-        code, out, err = run_cli(capsys, "embed", "--type", "qubit3", "--input", path)
+        code, out, err = run_cli(capsys, "embed", "--type", "qubit3",
+                                 "--input", path, "--mode", mode)
         assert (code, err) == (0, ""), value
         assert json.loads(out)["classification"]["label"] == "GHZ"

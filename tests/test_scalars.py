@@ -440,6 +440,21 @@ def test_singular_group_element_is_rejected():
             GroupElement(m)
 
 
+def test_group_element_determinant_comes_from_its_inversion():
+    # the one Gauss-Jordan elimination that inverts g also gives det(g), in
+    # the exact normal form; det(g) = 1 / det(g') for an element built from
+    # its inverse transpose g'
+    phase = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    for n, seed in ((3, 1), (6, 2), (9, 3)):
+        m = random_invertible(n, seed).matrix
+        m[0] = [phase * x for x in m[0]]
+        for g in (GroupElement(m), GroupElement([[Fraction(x, 7) for x in row]
+                                                 for row in m[1:]] + [m[0]])):
+            assert g.det == determinant(g.matrix) and is_normal(g.det)
+            h = GroupElement.from_inverse_transpose(g.inverse_transpose)
+            assert h.matrix == g.matrix and h.det == g.det
+
+
 def test_row_reduce_pivots_and_floor():
     m = [[0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 5]]
     rows, pivots, _ = row_reduce(m)
