@@ -11,8 +11,8 @@ match.
 Each classifier also returns the invariants it printed in a report, from the
 covariants it built once.  P and cP lie in one class, so every state is
 classified on one multiple of itself, ``AltTensor.representative``: an exact
-state on its integer rescale, a float state at unit size, so that no float
-decision depends on the input's scale.  Each invariant is taken back to the
+state on its primitive integer multiple, a float state at unit size, so that
+no decision depends on the input's scale.  Each invariant is taken back to the
 caller's state by homogeneity.
 """
 
@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, replace
 
 from .covariants import (eight_covariants, first_order_map, k_matrix_6,
                          kappa_map, seven_covariants)
-from .exterior import (AltTensor, GroupElement, mask_of, merge_sign,
-                       slocc_apply, tuple_of)
+from .exterior import (AltTensor, GroupElement, contractions, mask_of,
+                       merge_sign, slocc_apply, tuple_of)
 from .invariants import (DELTA_DEGREES, J_DEGREES, dual_trivector, eight_i,
                          invariant_is_zero, nine_deltas, nine_js_scaled,
                          quartic_d, seven_j)
@@ -116,9 +116,9 @@ def _on_representative(classifier):
     """Run ``classifier`` on ``p.representative()`` and take each invariant
     it returns back to ``p``; zero flags are decided on the representative."""
     @functools.wraps(classifier)
-    def run(p, tol: TolerancePolicy = DEFAULT_TOLERANCE, *args, **kwargs):
+    def run(p, tol: TolerancePolicy = DEFAULT_TOLERANCE):
         q, unscale = p.representative()
-        out = classifier(q, tol, *args, **kwargs)
+        out = classifier(q, tol)
         scale = q.max_abs()
         out.zero = {name: invariant_is_zero(v, scale, deg, tol.zero_epsilon)
                     for name, (v, deg) in out.invariants.items()}
@@ -237,7 +237,7 @@ def classify6(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
         chain = "W"
     elif not is_separable(p, tol):
         chain = "Bisep"
-    elif not _float_zero_tensor(p, scale):
+    elif not p.is_zero():
         chain = "Sep"
     else:
         chain = "Null"
@@ -251,12 +251,6 @@ def classify6(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
         detail.update(chain_label=chain, table_label=table)
         label = "Unclassified"
     return ClassLabel(6, label, triple, detail, {"quartic_d": (d, 4)})
-
-
-def _float_zero_tensor(p, scale, eps=1e-12):
-    if p.mode != "float":
-        return p.is_zero()
-    return all(abs(v) <= eps * max(scale, 1e-300) for v in p.masks().values())
 
 
 @_on_representative
@@ -327,8 +321,10 @@ def support_reduction(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE):
     into the span of the first ``rank`` indices.
     """
     n = p.dim
-    rows = [[p.component((i, a, b)) for i in range(1, n + 1)]
-            for a, b in itertools.combinations(range(1, n + 1), 2)]
+    # the row of the pair a < b holds P_iab = (i_{ab} P)_i over i
+    pairs = contractions(p, 2)
+    rows = [[pairs.get(mask_of(ab), {}).get(1 << i, 0) for i in range(n)]
+            for ab in itertools.combinations(range(1, n + 1), 2)]
     m, piv_cols, _ = row_reduce(rows, tol.absolute_floor)
     free = [c for c in range(n) if c not in piv_cols]
     kernel = []
@@ -395,8 +391,8 @@ def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
 
 
 @_on_representative
-def classify9_family(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE,
-                     compute_rank_t: bool = True) -> ClassLabel:
+def classify9_family(p: AltTensor,
+                     tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:
     """Family assignment from the vanishing pattern of the discriminants.
 
     All four trace invariants zero means the nilpotent family; otherwise the
@@ -409,9 +405,7 @@ def classify9_family(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE,
     eps = tol.zero_epsilon
     js, _, tm = nine_js_scaled(p)
     invariants = dict(zip(("J12", "J18", "J24", "J30"), zip(js, J_DEGREES)))
-    detail = {}
-    if compute_rank_t:
-        detail["rank_T"] = rank(tm, tol)
+    detail = {"rank_T": rank(tm, tol)}
     if all(invariant_is_zero(j, scale, deg, eps) for j, deg in zip(js, J_DEGREES)):
         return ClassLabel(9, "family7", (True,) * 4, detail, invariants)
     deltas = nine_deltas(js)
@@ -426,7 +420,7 @@ def classify9_family(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE,
 
 
 def classify(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE,
-             real_mode: bool = False, **kwargs) -> ClassLabel:
+             real_mode: bool = False) -> ClassLabel:
     """Dispatch on dimension; ``real_mode`` selects the real six-dim split."""
     if p.dim == 6:
         return classify6_real(p, tol) if real_mode else classify6(p, tol)
@@ -435,5 +429,5 @@ def classify(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE,
     if p.dim == 8:
         return classify8(p, tol)
     if p.dim == 9:
-        return classify9_family(p, tol, **kwargs)
+        return classify9_family(p, tol)
     raise ValueError("classification covers dimensions 6..9")

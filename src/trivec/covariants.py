@@ -2,11 +2,14 @@
 
 Every map here is assembled through the same operational recipe: a column of
 the matrix is the star dual of (i_{b1} P) ^ ... ^ (i_{bn} P) ^ P evaluated on
-canonical basis multivectors b_j.  Reducing the Levi-Civita contractions over
-canonical index subsets reproduces the usual component formulas with their
-factorial prefactors exactly (each antisymmetric block absorbs one factorial),
-so numeric anchors like the diagonal GHZ matrix or N_77 = 6 Pf(omega) come
-out on the nose.  The brute-force oracle validates this reduction.
+canonical basis multivectors b_j.  Each contraction i_b P is read from the
+one table :func:`~trivec.exterior.contractions` builds per degree, so the
+sign of a contraction is worked out in that one place.  Reducing the
+Levi-Civita contractions over canonical index subsets reproduces the usual
+component formulas with their factorial prefactors exactly (each
+antisymmetric block absorbs one factorial), so numeric anchors like the
+diagonal GHZ matrix or N_77 = 6 Pf(omega) come out on the nose.  The
+brute-force oracle validates this reduction.
 
 Covariance bookkeeping: a map built with one star picks up one power of
 det(g') under the group action, recorded as ``det_weight``.
@@ -19,8 +22,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import (AltTensor, SubsetIndexer, interior, mask_of,
-                       merge_sign, tuple_of, wedge_terms)
+from .exterior import (AltTensor, SubsetIndexer, contractions, mask_of,
+                       merge_sign, submasks, tuple_of, wedge_terms)
 from .scalars import (DEFAULT_TOLERANCE, GaussianRational, TolerancePolicy,
                       rank as matrix_rank)
 
@@ -53,19 +56,14 @@ def first_order_map(p: AltTensor, l: int) -> ExtLinearMap:
     Rank is a group invariant; the transpose relation makes the l and k-l
     maps equal in rank.
     """
-    k = p.degree
-    if not 0 <= l <= k:
-        raise ValueError("contraction degree out of range")
-    rows = SubsetIndexer(p.dim, k - l)
+    table = contractions(p, l)
+    rows = SubsetIndexer(p.dim, p.degree - l)
     cols = SubsetIndexer(p.dim, l)
     mat = [[0] * len(cols) for _ in range(len(rows))]
-    for m, v in p.masks().items():
-        for tsub in itertools.combinations(tuple_of(m), l):
-            mt = mask_of(tsub)
-            j = m ^ mt
-            val = -v if merge_sign(mt, j) < 0 else v
-            mat[rows.position[j]][cols.position[mt]] = val
-    return ExtLinearMap(p.dim, (l,), k - l, 0, rows,
+    for t, row in table.items():
+        for j, v in row.items():
+            mat[rows.position[j]][cols.position[t]] = v
+    return ExtLinearMap(p.dim, (l,), p.degree - l, 0, rows,
                         [(mk,) for mk in cols.masks], mat)
 
 
@@ -83,11 +81,11 @@ def kappa_map(p: AltTensor, degrees) -> ExtLinearMap:
     if not all(0 <= l <= k for l in degrees) or not 0 <= n - out_deg <= n:
         raise ValueError("covariant degree constraint violated")
     rows = SubsetIndexer(n, out_deg)
-    unit = complex(1) if p.mode == "float" else 1
-    # one contraction i_beta P per basis element and slot, as (mask, its
-    # nonzero components)
-    contracted = [[(m, interior(AltTensor(n, l, {m: unit}), p).masks())
-                   for m in SubsetIndexer(n, l).masks] for l in degrees]
+    # one contraction table per distinct degree; each slot lists every basis
+    # element with its contraction i_beta P (empty when it meets no term)
+    tables = {l: contractions(p, l) for l in set(degrees)}
+    contracted = [[(m, tables[l].get(m, {})) for m in SubsetIndexer(n, l).masks]
+                  for l in degrees]
     full = (1 << n) - 1
     # (row mask, mask of its complement, whether star negates that row)
     duals = [(rm, full ^ rm, merge_sign(rm, full ^ rm) < 0) for rm in rows.masks]
@@ -113,13 +111,6 @@ def kappa_map(p: AltTensor, degrees) -> ExtLinearMap:
     return ExtLinearMap(n, degrees, out_deg, 1, rows, col_keys, mat)
 
 
-@functools.lru_cache(maxsize=None)
-def _submasks(free: int, k: int) -> tuple:
-    """The k-element submasks of ``free``."""
-    bits = [1 << i for i in range(free.bit_length()) if free >> i & 1]
-    return tuple(map(sum, itertools.combinations(bits, k)))
-
-
 def _wedge_with(ac: dict, p: AltTensor) -> dict:
     """Components of the wedge of the coefficients ``ac`` with p, zeros kept.
 
@@ -131,7 +122,7 @@ def _wedge_with(ac: dict, p: AltTensor) -> dict:
     pc = p.masks()
     c = {}
     for ma, va in ac.items():
-        for mb in _submasks(full ^ ma, p.degree):
+        for mb in submasks(full ^ ma, p.degree):
             vb = pc.get(mb)
             if vb is not None:
                 m = ma | mb
@@ -175,15 +166,18 @@ def dual_trivector(p: AltTensor, k=None) -> AltTensor:
     if p.dim != 6 or p.degree != 3:
         raise ValueError("dual_trivector expects a three-form in six dimensions")
     kmat = (k_matrix_6(p) if k is None else k).matrix
+    # P_bcd = (i_{bc} P)_d for b < c
+    pairs = contractions(p, 2)
     terms = []
     for (a, b, c) in itertools.combinations(range(1, 7), 3):
         v = None
+        ibc = pairs.get(mask_of((b, c)), {})
         for d in range(1, 7):
             kd = kmat[d - 1][a - 1]
             if not kd:
                 continue
-            pc = p.component((b, c, d))
-            if not pc:
+            pc = ibc.get(1 << (d - 1))
+            if pc is None:
                 continue
             term = pc * kd
             v = term if v is None else v + term
@@ -508,36 +502,18 @@ def t_matrix_rows(p: AltTensor) -> list:
         raise ValueError("t_matrix expects a three-form in nine dimensions")
     vec_pair, completions = _t_tables()
     amp = p.masks()
-    items = list(amp.items())
-    iota_vec = {}
-    for f in range(1, 10):
-        mf = 1 << (f - 1)
-        d = {}
-        for m, v in items:
-            if m & mf:
-                j = m ^ mf
-                d[j] = (-v if merge_sign(mf, j) < 0 else v)
-        iota_vec[f] = list(d.items())
-    iota_pair = {}
-    for pr in itertools.combinations(range(1, 10), 2):
-        mt = mask_of(pr)
-        d = {}
-        for m, v in items:
-            if m & mt == mt:
-                j = m ^ mt
-                d[j] = (-v if merge_sign(mt, j) < 0 else v)
-        iota_pair[mt] = list(d.items())
-
+    by_vec = contractions(p, 1)
+    by_pair = contractions(p, 2)
     mat = [[0] * 84 for _ in range(84)]
 
     def accumulate(pairmask, f, weight, col):
-        one = iota_pair[pairmask]
-        two = iota_vec[f]
+        one = by_pair.get(pairmask)
+        two = by_vec.get(1 << (f - 1))
         if not one or not two:
             return
         w12 = {}
-        for m1, v1 in one:
-            for m2, v2 in two:
+        for m1, v1 in one.items():
+            for m2, v2 in two.items():
                 if m1 & m2:
                     continue
                 m = m1 | m2

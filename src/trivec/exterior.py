@@ -13,7 +13,11 @@ Conventions used throughout the package:
   from that choice,
 * the group acts on forms through the inverse transpose: a group element g
   sends the component array P to g'...g' P with g' = (g^T)^-1, so the
-  degree-k action is the k-th compound matrix of g'.
+  degree-k action is the k-th compound matrix of g',
+* the contraction of P by a basis multivector is
+  (i_T P)_J = sign(T|J) P_{T u J}; :func:`contractions` tabulates it for
+  every basis T of one degree, and every covariant of the package reads
+  its contractions from that table.
 
 Tensors are mode-homogeneous: either every coefficient is exact (int,
 Fraction, GaussianRational) or every coefficient is a float/complex.  Binary
@@ -250,20 +254,22 @@ class AltTensor:
             return math.inf
 
     def integer_rescale(self) -> tuple:
-        """(scale, scale * self) with the least positive integer ``scale``
-        that makes every coefficient a (Gaussian) integer.
+        """(scale, scale * self), the primitive multiple of this tensor.
 
+        ``scale`` is the positive rational, the lcm of the denominators over
+        the gcd of the numerators of every real and imaginary part, that
+        makes the coefficients (Gaussian) integers with no common integer
+        factor; p and c p give the same multiple for every rational c > 0.
         Every invariant of degree d of the rescaled tensor is scale**d times
         that of this one, and ranks do not change.  Float tensors, and exact
-        ones with integer coefficients, come back as they are with scale 1.
+        ones already primitive, come back as they are with scale 1.
         """
-        scale = 1
-        for v in self._c.values():
-            t = type(v)
-            if t is Fraction:
-                scale = math.lcm(scale, v.denominator)
-            elif t is GaussianRational:
-                scale = math.lcm(scale, v.re.denominator, v.im.denominator)
+        if self.mode != "exact":
+            return 1, self
+        parts = [x for v in self._c.values()
+                 for x in ((v.re, v.im) if type(v) is GaussianRational else (v,))]
+        scale = normal_form(Fraction(math.lcm(*(x.denominator for x in parts)),
+                                     math.gcd(*(x.numerator for x in parts))))
         if scale == 1:
             return 1, self
         return scale, self.scale(scale)
@@ -271,10 +277,12 @@ class AltTensor:
     def representative(self) -> tuple:
         """(q, unscale): the multiple q of this state that decisions read.
 
-        An exact state gives its integer rescale.  A float state gives 2^-e
-        times itself, with the exact power of two that puts its largest real
-        or imaginary part in [1/2, 1), whatever its size.  ``unscale(v, d)``
-        takes an invariant of degree d of q back to this state.
+        An exact state gives its primitive multiple (``integer_rescale``),
+        so p and c p share it for every rational c > 0.  A float state gives
+        2^-e times itself, with the exact power of two that puts its largest
+        real or imaginary part in [1/2, 1), whatever its size.
+        ``unscale(v, d)`` takes an invariant of degree d of q back to this
+        state.
         """
         if self.mode != "float":
             scale, q = self.integer_rescale()
@@ -401,6 +409,34 @@ def interior(alpha: AltTensor, p: AltTensor) -> AltTensor:
             cur = c.get(j)
             c[j] = term if cur is None else cur + term
     return AltTensor(p.dim, p.degree - alpha.degree, c)
+
+
+@functools.lru_cache(maxsize=None)
+def submasks(mask: int, k: int) -> tuple:
+    """The k-element submasks of ``mask``, lowest first (in the order of
+    ``itertools.combinations`` over its bits)."""
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    return tuple(map(sum, itertools.combinations(bits, k)))
+
+
+def contractions(p: AltTensor, l: int) -> dict:
+    """Every contraction of p by a basis l-vector: {T: {J: (i_T P)_J}}.
+
+    (i_T P)_J = sign(T|J) P_{T u J}, as in :func:`interior` with the basis
+    l-vector of mask T; only nonzero entries appear, and a T that meets no
+    coefficient is absent.  Each inner dict lists its J in the order of p's
+    coefficients, and the outer dict lists T in the order met when each
+    coefficient gives up its (k-l)-subsets J lowest first.  Every covariant
+    reads its contractions here, so sums over either order are fixed.
+    """
+    if not 0 <= l <= p.degree:
+        raise ValueError("contraction degree out of range")
+    out = {}
+    for m, v in p._c.items():
+        for j in submasks(m, p.degree - l):
+            t = m ^ j
+            out.setdefault(t, {})[j] = -v if merge_sign(t, j) < 0 else v
+    return out
 
 
 def star(r: AltTensor) -> AltTensor:

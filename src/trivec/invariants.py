@@ -24,7 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .covariants import (dual_trivector, eight_covariants, k_matrix_6,
-                         seven_covariants, t_matrix_rows, t_power_traces)
+                         seven_covariants, t_matrix_rows, t_power_traces,
+                         trace_product)
 from .exterior import AltTensor
 from .scalars import DEFAULT_TOLERANCE, is_exact, quotient, to_complex
 
@@ -82,15 +83,7 @@ def quartic_d(p: AltTensor, route: str = "trace", k=None):
         raise ValueError("quartic_d expects a three-form in six dimensions")
     if route == "trace":
         k = (k_matrix_6(p) if k is None else k).matrix
-        tr = 0
-        for i in range(6):
-            for j in range(6):
-                x = k[i][j]
-                if x:
-                    y = k[j][i]
-                    if y:
-                        tr = tr + x * y
-        return quotient(tr, 6)
+        return quotient(trace_product(k, k), 6)
     if route == "freudenthal_block":
         eta, xi, x, y = _block_dictionary(p)
         trxy = sum(x[i][j] * y[j][i] for i in range(3) for j in range(3))
@@ -137,14 +130,9 @@ def seven_j(p: AltTensor, cov=None):
     """
     if cov is None:
         cov = seven_covariants(p)
-    tr = 0
-    for i in range(7):
-        for j in range(7):
-            x = cov.l_matrix[i][j]
-            if x:
-                y = cov.n_matrix[i][j]
-                if y:
-                    tr = tr + x * y
+    # L is stored exactly symmetric, so this sums l_ij n_ij row by row; N
+    # is not bit-symmetric in float, so it must be the first factor
+    tr = trace_product(cov.n_matrix, cov.l_matrix)
     return quotient(tr, 2 ** 4 * 3 ** 2 * 7)
 
 
@@ -155,15 +143,7 @@ def eight_i(p: AltTensor, cov=None):
     """
     if cov is None:
         cov = eight_covariants(p)
-    tr = 0
-    for i in range(8):
-        for j in range(8):
-            x = cov.g_matrix[i][j]
-            if x:
-                y = cov.h_matrix[j][i]
-                if y:
-                    tr = tr + x * y
-    return tr
+    return trace_product(cov.g_matrix, cov.h_matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import AltTensor, GroupElement, slocc_apply, tuple_of
+from .exterior import AltTensor, GroupElement, contractions, slocc_apply
 from .scalars import (conjugate, hermitian_eigensystem, hermitian_eigenvalues,
                       imag_part, is_exact, quotient, real_part, to_complex)
 
@@ -43,15 +43,12 @@ def one_matrix(p: AltTensor):
     n = p.dim
     norm2 = p.norm_sq()
     rho = [[0] * n for _ in range(n)]
-    by_pair = {}
-    for m, v in p.masks().items():
-        for i in tuple_of(m):
-            rest = m ^ (1 << (i - 1))
-            by_pair.setdefault(rest, []).append((i, p.component((i,) + tuple_of(rest))))
-    for rest, entries in by_pair.items():
+    # P_iab = (i_{ab} P)_i; each pair a < b feeds the entries of its row
+    for row in contractions(p, 2).values():
+        entries = [(m.bit_length() - 1, v) for m, v in row.items()]
         for i, vi in entries:
             for j, vj in entries:
-                rho[i - 1][j - 1] = rho[i - 1][j - 1] + vi * conjugate(vj)
+                rho[i][j] = rho[i][j] + vi * conjugate(vj)
     # raw trace is 3 * norm_sq (each triple feeds three diagonal slots)
     return [[quotient(x, norm2) for x in row] for row in rho]
 

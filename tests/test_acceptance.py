@@ -233,13 +233,16 @@ def test_c09_covariance_suite():
             p = canonical_state(9, f"family{fam}", params)
             for _ in range(2):
                 g = random_invertible(9, rng)
-                out = classify9_family(slocc_apply(g, p), compute_rank_t=False)
+                out = classify9_family(slocc_apply(g, p))
                 assert out.label == f"family{fam}"
+                assert out.detail["rank_T"] == FAMILY_RANK_T[fam]
         nil = canonical_state(9, "family7")
+        nil_rank_t = classify9_family(nil).detail["rank_T"]
         for _ in range(2):
             g = random_invertible(9, rng)
-            out = classify9_family(slocc_apply(g, nil), compute_rank_t=False)
+            out = classify9_family(slocc_apply(g, nil))
             assert out.label == "family7"
+            assert out.detail["rank_T"] == nil_rank_t
 
 
 def test_c10_freudenthal_identities_float():

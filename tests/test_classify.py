@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -167,6 +168,29 @@ def test_support_reduction_inverts_once(monkeypatch):
             assert max(t[-1] for t, v in moved.terms() if abs(v) > 1e-9) == r
 
 
+def test_support_reduction_rows_are_the_component_rows(monkeypatch):
+    seen = []
+    classify_module = importlib.import_module("trivec.classify")
+    reduce = classify_module.row_reduce
+
+    def recorded(rows, floor=0.0):
+        seen.append([list(r) for r in rows])
+        return reduce(rows, floor)
+
+    monkeypatch.setattr(classify_module, "row_reduce", recorded)
+    z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    x7 = AltTensor.from_terms(8, 3, list(canonical_state(7, "X").terms()))
+    for p in (slocc_apply(random_invertible(8, 7), canonical_state(8, "XV")),
+              slocc_apply(random_unimodular(8, 100), x7)):
+        for q in (p, p.to_float(),
+                  AltTensor(8, 3, {m: v * z for m, v in p.masks().items()})):
+            seen.clear()
+            support_reduction(q)
+            want = [[q.component((i, a, b)) for i in range(1, 9)]
+                    for a, b in itertools.combinations(range(1, 9), 2)]
+            assert seen == [want]
+
+
 def test_float_moved_eight_mode_xi():
     p = slocc_apply(random_invertible(8, 202), canonical_state(8, "XI"))
     # the float state file, read back: its terms come in file order
@@ -178,8 +202,7 @@ def test_classify9_families():
     params = {1: (1, 2, 4, 8), 2: (1, 2, 3), 3: (1, 2), 4: (1, 2),
               5: (1,), 6: (1,), 7: ()}
     for fam, ps in params.items():
-        out = classify9_family(canonical_state(9, f"family{fam}", ps),
-                               compute_rank_t=False)
+        out = classify9_family(canonical_state(9, f"family{fam}", ps))
         assert out.label == f"family{fam}"
 
 
@@ -306,7 +329,7 @@ def test_classify9_builds_t_once(monkeypatch):
     for fam in (1, 6):
         p = canonical_state(9, f"family{fam}", FAMILY_SAMPLES[fam])
         calls.clear()
-        out = classify9_family(p, compute_rank_t=True)
+        out = classify9_family(p)
         assert out.detail["rank_T"] == FAMILY_RANK_T[fam]
         assert len(calls) == 1
 
@@ -325,16 +348,15 @@ def test_zero_epsilon_of_the_policy_is_honored():
     assert not is_separable(bisep)
     assert is_separable(bisep, loose)
     f1 = canonical_state(9, "family1", (1, 2, 4, 8)).to_float()
-    assert classify9_family(f1, compute_rank_t=False).label == "family1"
-    out = classify9_family(f1, TolerancePolicy(zero_epsilon=1e12),
-                           compute_rank_t=False)
+    assert classify9_family(f1).label == "family1"
+    out = classify9_family(f1, TolerancePolicy(zero_epsilon=1e12))
     assert out.label == "family7"
 
 def test_classify9_generic_qutrit_lands_in_family2():
     rng = random.Random(61)
     psi = {(m1, m2, m3): Fraction(rng.randint(-4, 4), rng.randint(1, 2))
            for m1 in (1, 2, 3) for m2 in (1, 2, 3) for m3 in (1, 2, 3)}
-    out = classify9_family(embed_three_qutrits(psi), compute_rank_t=False)
+    out = classify9_family(embed_three_qutrits(psi))
     assert out.label == "family2"
 
 
@@ -352,7 +374,7 @@ def test_classify9_qutrit_families_consistent_with_separation():
             psi[trip] = Fraction(-b)
         for trip in ((1, 3, 2), (2, 1, 3), (3, 2, 1)):
             psi[trip] = Fraction(c)
-        out = classify9_family(embed_three_qutrits(psi), compute_rank_t=False)
+        out = classify9_family(embed_three_qutrits(psi))
         if inv["D36"] != 0:
             assert out.label == "family2"
         elif inv["D24"] != 0 or inv["D21"] != 0:

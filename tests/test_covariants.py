@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -103,6 +102,32 @@ def test_dual_trivector_is_antisymmetric_formula():
             assert pt.component((a, b, c)) == full
 
 
+def _dual_trivector_by_components(p):
+    """Ptilde_abc = sum_d P_bcd K^d_a from sorted components, d ascending."""
+    k = k_matrix_6(p).matrix
+    out = {}
+    for a, b, c in itertools.combinations(range(1, 7), 3):
+        v = None
+        for d in range(1, 7):
+            x = p.component((b, c, d))
+            if x and k[d - 1][a - 1]:
+                term = x * k[d - 1][a - 1]
+                v = term if v is None else v + term
+        if v:
+            out[mask_of((a, b, c))] = v
+    return out
+
+
+def test_dual_trivector_equals_the_component_sum():
+    z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    for seed in range(3):
+        p = slocc_apply(random_invertible(6, 60 + seed), GHZ)
+        q = random_state(6, 70 + seed, density=0.5)
+        for state in (p, q, p.to_float(), q.to_float(),
+                      AltTensor(6, 3, {m: v * z for m, v in p.masks().items()})):
+            assert dual_trivector(state).masks() == _dual_trivector_by_components(state)
+
+
 def test_freudenthal_dual_exact_ghz():
     ph = freudenthal_dual(GHZ)
     assert ph == (e(6, 1, 2, 3) - e(6, 4, 5, 6)).scale(GaussianRational(0, -1))
@@ -175,19 +200,19 @@ def test_l_matrix_equals_the_m_component_sum():
 
 @pytest.mark.parametrize("dim,degrees", [(6, (1,)), (6, (2,)), (7, (1,)),
                                          (7, (1, 1)), (8, (1, 1)), (8, (2,))])
-def test_kappa_map_contracts_each_basis_element_once_per_slot(monkeypatch, dim, degrees):
+def test_kappa_map_builds_one_contraction_table_per_degree(monkeypatch, dim, degrees):
     calls = []
-    original = trivec.covariants.interior
+    original = trivec.covariants.contractions
 
-    def counted(alpha, p):
-        calls.append(alpha)
-        return original(alpha, p)
+    def counted(p, l):
+        calls.append(l)
+        return original(p, l)
 
     p = random_state(dim, 40 + dim, density=0.5)
-    want = kappa_map(p, degrees).matrix
-    monkeypatch.setattr(trivec.covariants, "interior", counted)
+    want = _kappa_by_star_of_wedges(p, degrees)
+    monkeypatch.setattr(trivec.covariants, "contractions", counted)
     assert kappa_map(p, degrees).matrix == want
-    assert len(calls) == sum(math.comb(dim, l) for l in degrees)
+    assert sorted(calls) == sorted(set(degrees))
 
 
 def _kappa_by_star_of_wedges(p, degrees):

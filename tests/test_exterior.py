@@ -1,14 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from trivec.exterior import (AltTensor, GroupElement, SubsetIndexer,
-                             canonical_state, complex_basis_form, embed_qudits,
-                             embed_three_qubits, embed_three_qutrits,
-                             interior, is_primitive, join_seven, nine_q,
-                             pairing, semisimple_state, slocc_apply,
-                             split_seven, star, symplectic_pairing, wedge)
+                             canonical_state, complex_basis_form, contractions,
+                             embed_qudits, embed_three_qubits,
+                             embed_three_qutrits, interior, is_primitive,
+                             join_seven, nine_q, pairing, semisimple_state,
+                             slocc_apply, split_seven, star,
+                             symplectic_pairing, wedge)
 from trivec.oracle import random_invertible, random_state, random_unimodular
 from trivec.scalars import GaussianRational, imag_part, real_part
 
@@ -335,6 +337,54 @@ def test_integer_rescale_clears_denominators_by_their_lcm():
               AltTensor.zero(6, 3)):
         scale, same = r.integer_rescale()
         assert scale == 1 and same is r
+
+
+def _with_gaussian_and_float(p):
+    z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    return [p, AltTensor(p.dim, 3, {m: v * z for m, v in p.masks().items()}),
+            p.to_float()]
+
+
+@pytest.mark.parametrize("dim", [6, 7, 8, 9])
+def test_contractions_equal_interior(dim):
+    moved = slocc_apply(random_invertible(dim, 30 + dim), nine_q(1) if dim == 9
+                        else canonical_state(dim, {6: "GHZ", 7: "X", 8: "XXIII"}[dim]))
+    for p in _with_gaussian_and_float(moved) + _with_gaussian_and_float(
+            random_state(dim, 50 + dim, density=0.4)):
+        unit = complex(1) if p.mode == "float" else 1
+        for l in range(4):
+            table = contractions(p, l)
+            for t in SubsetIndexer(dim, l).masks:
+                want = interior(AltTensor(dim, l, {t: unit}), p).masks()
+                got = table.get(t, {})
+                assert got == want
+                assert list(got) == list(want)
+                assert all(got.values())
+            assert set(table) <= set(SubsetIndexer(dim, l).masks)
+    with pytest.raises(ValueError):
+        contractions(moved, 4)
+
+
+def test_integer_rescale_is_the_primitive_multiple():
+    p = slocc_apply(random_invertible(7, 202), canonical_state(7, "X"))
+    scale, q = p.integer_rescale()
+    parts = [x for v in q.masks().values() for x in (real_part(v), imag_part(v))]
+    assert all(type(x) is int for x in parts)
+    assert math.gcd(*parts) == 1
+    assert q == p.scale(scale)
+    for c in (3, Fraction(5, 7), 10 ** 40, Fraction(12, 35)):
+        cp = p.scale(c)
+        assert cp.representative()[0].masks() == q.masks()
+        assert cp.integer_rescale()[0] == Fraction(scale) / c
+    # a negative factor flips the sign, a Gaussian one keeps its primitive part
+    assert p.scale(Fraction(-12, 35)).representative()[0] == -q
+    assert p.scale(GaussianRational(6, 8)).representative()[0] == q.scale(
+        GaussianRational(3, 4))
+    # a common integer factor goes, so the representative has small entries
+    big = canonical_state(9, "family1", (1, 2, 4, 8)).scale(10 ** 400)
+    scale, q = big.integer_rescale()
+    assert scale == Fraction(1, 10 ** 400)
+    assert q == canonical_state(9, "family1", (1, 2, 4, 8))
 
 
 def test_semisimple_state_building_blocks():
