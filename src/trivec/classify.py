@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
 
 from .covariants import (eight_covariants, first_order_map, k_matrix_6,
                          kappa_map, seven_covariants)
@@ -33,7 +32,6 @@ from .scalars import (DEFAULT_TOLERANCE, TolerancePolicy, imag_part, rank,
                       real_part, row_reduce, to_complex)
 
 
-@dataclass
 class ClassLabel:
     """Classification outcome: label plus the signature that justified it.
 
@@ -42,16 +40,27 @@ class ClassLabel:
     ``zero`` maps the same names to whether the invariant vanishes.
     """
 
-    dimension: int
-    label: str
-    signature: tuple
-    detail: dict = field(default_factory=dict)
-    invariants: dict = field(default_factory=dict)
-    zero: dict = field(default_factory=dict)
+    __slots__ = ("dimension", "label", "signature", "detail", "invariants",
+                 "zero")
+
+    def __init__(self, dimension: int, label: str, signature: tuple,
+                 detail: dict = None, invariants: dict = None,
+                 zero: dict = None):
+        self.dimension = dimension
+        self.label = label
+        self.signature = signature
+        self.detail = {} if detail is None else detail
+        self.invariants = {} if invariants is None else invariants
+        self.zero = {} if zero is None else zero
 
     @property
     def classified(self) -> bool:
         return self.label != "Unclassified"
+
+    def relabeled(self, label: str) -> ClassLabel:
+        """A new outcome with ``label`` and this one's other fields."""
+        return ClassLabel(self.dimension, label, self.signature, self.detail,
+                          self.invariants, self.zero)
 
 
 TABLE1 = {
@@ -281,8 +290,8 @@ def classify6_real(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Cl
                 got = sum(j[i][t] * j[t][jj] for t in range(6))
                 if abs(got - want) > 1e-8:
                     out.detail["complex_structure_defect"] = abs(got - want)
-                    return replace(out, label="Unclassified")
-    return replace(out, label=label)
+                    return out.relabeled("Unclassified")
+    return out.relabeled(label)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -36,7 +37,6 @@ from .classify import classify
 from .exterior import (AltTensor, canonical_state, embed_three_qubits,
                        embed_three_qutrits, slocc_apply, sort_indices)
 from .invariants import qutrit_normal_form_coefficients, qutrit_normal_invariants
-from .oracle import random_invertible, random_state, selfcheck
 from .scalars import GaussianRational, imag_part, normal_form, to_complex
 from .spectra import occupation_spectrum, one_matrix, pinning_analysis
 
@@ -51,20 +51,37 @@ class CliError(Exception):
 # scalar and state (de)serialization
 
 
+_LONG_FRACTION = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+
+
+def _long_fraction(s: str) -> Fraction:
+    """Fraction(s) for an integer or p/q string of any length: ``Fraction``
+    refuses one past ``sys.get_int_max_str_digits()`` digits, ``Decimal``
+    does not.  Any other string gets ``Fraction``'s own error."""
+    m = _LONG_FRACTION.fullmatch(s)
+    if m is None:
+        return Fraction(s)
+    num, den = m.groups()
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
 def _parse_scalar(entry, mode, where):
     re_s = entry.get("re", "0")
     im_s = entry.get("im", "0")
     try:
         if mode == "rational":
-            return normal_form(GaussianRational(Fraction(str(re_s)),
-                                                Fraction(str(im_s))))
-        re = float(re_s)
-        im = float(im_s)
+            try:
+                x, y = Fraction(str(re_s)), Fraction(str(im_s))
+            except ValueError:
+                x, y = _long_fraction(str(re_s)), _long_fraction(str(im_s))
+            return normal_form(GaussianRational(x, y))
+        x = float(re_s)
+        y = float(im_s)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"{where}: bad scalar ({exc})") from None
-    if not (math.isfinite(re) and math.isfinite(im)):
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise CliError(f"{where}: scalar must be finite")
-    return complex(re, im)
+    return complex(x, y)
 
 
 def _exact_str(q) -> str:
@@ -144,7 +161,7 @@ def load_state(path) -> tuple:
             doc = json.load(fh)
     except OSError as exc:
         raise CliError(f"input: cannot read {path} ({exc})") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long number
         raise CliError(f"input: invalid JSON ({exc})") from None
     return parse_state(doc)
 
@@ -238,13 +255,21 @@ def cmd_classify(args) -> int:
     return 0 if report["classification"]["label"] != "Unclassified" else 3
 
 
+def _check_dim(dim):
+    if not 6 <= dim <= 9:
+        raise CliError("dim: must be an integer in 6..9")
+
+
 def cmd_canonical(args) -> int:
+    _check_dim(args.dim)
     params = ()
     if args.params:
         try:
             params = tuple(Fraction(tok) for tok in args.params.split(","))
         except ValueError as exc:
             raise CliError(f"params: {exc}") from None
+        except ZeroDivisionError as exc:
+            raise CliError(f"params: zero denominator ({exc})") from None
     try:
         p = canonical_state(args.dim, args.cls, params)
     except KeyError as exc:
@@ -261,6 +286,7 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_random(args) -> int:
+    from .oracle import random_invertible, random_state
     if args.slocc_of:
         p, mode = load_state(args.slocc_of)
         g = random_invertible(p.dim, args.seed)
@@ -268,6 +294,7 @@ def cmd_random(args) -> int:
     else:
         if args.dim is None:
             raise CliError("dim: required without --slocc-of")
+        _check_dim(args.dim)
         out = random_state(args.dim, args.seed)
         mode = "rational"
     doc = state_document(out, mode)
@@ -285,7 +312,7 @@ def _load_psi(path, count, mode, labels, rule):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"input: {exc}") from None
     if not isinstance(doc, dict):
         raise CliError("document: must be a JSON object")
@@ -363,6 +390,7 @@ def cmd_rdm(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from .oracle import selfcheck
     results = selfcheck(verbose=True)
     bad = [name for name, ok in results if not ok]
     emit({"checks": [{"name": n, "ok": ok} for n, ok in results],

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import (AltTensor, SubsetIndexer, contractions, mask_of,
@@ -28,7 +27,6 @@ from .scalars import (DEFAULT_TOLERANCE, GaussianRational, TolerancePolicy,
                       rank as matrix_rank)
 
 
-@dataclass
 class ExtLinearMap:
     """Matrix of a covariant map between exterior-power spaces.
 
@@ -38,13 +36,19 @@ class ExtLinearMap:
     under the group action.
     """
 
-    dim: int
-    domain_degrees: tuple
-    codomain_degree: int
-    det_weight: int
-    row_subsets: SubsetIndexer
-    col_keys: list
-    matrix: list
+    __slots__ = ("dim", "domain_degrees", "codomain_degree", "det_weight",
+                 "row_subsets", "col_keys", "matrix")
+
+    def __init__(self, dim: int, domain_degrees: tuple, codomain_degree: int,
+                 det_weight: int, row_subsets: SubsetIndexer, col_keys: list,
+                 matrix: list):
+        self.dim = dim
+        self.domain_degrees = domain_degrees
+        self.codomain_degree = codomain_degree
+        self.det_weight = det_weight
+        self.row_subsets = row_subsets
+        self.col_keys = col_keys
+        self.matrix = matrix
 
     def rank(self, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
         return matrix_rank(self.matrix, tol)
@@ -250,14 +254,17 @@ def freudenthal_dual(p: AltTensor) -> AltTensor:
 # seven dimensions
 
 
-@dataclass
 class SevenCovariants:
     """The quadratic pair-of-maps and derived square matrices in seven dims."""
 
-    m_map: ExtLinearMap          # 21 x 7, upper pair antisymmetric
-    n_matrix: list               # 7 x 7 symmetric, cubic
-    l_matrix: list               # 7 x 7 symmetric, quartic
-    b_matrix: list               # -n_matrix / 6
+    __slots__ = ("m_map", "n_matrix", "l_matrix", "b_matrix")
+
+    def __init__(self, m_map: ExtLinearMap, n_matrix: list, l_matrix: list,
+                 b_matrix: list):
+        self.m_map = m_map          # 21 x 7, upper pair antisymmetric
+        self.n_matrix = n_matrix    # 7 x 7 symmetric, cubic
+        self.l_matrix = l_matrix    # 7 x 7 symmetric, quartic
+        self.b_matrix = b_matrix    # -n_matrix / 6
 
     def m_component(self, a: int, b: int, c: int):
         """(M^a)^b_c with sign extension over the antisymmetric upper pair."""
@@ -305,15 +312,18 @@ def seven_covariants(p: AltTensor) -> SevenCovariants:
 # eight dimensions
 
 
-@dataclass
 class EightCovariants:
     """Cubic pair map, quadratic triple map and the derived square matrices."""
 
-    f_map: ExtLinearMap      # 8 x 64 (vector rows, ordered lower pairs)
-    e_map: ExtLinearMap      # 56 x 8 (triple rows)
-    g_matrix: list           # 8 x 8 symmetric, degree 6
-    h_matrix: list           # 8 x 8 symmetric, degree 10
-    fe_matrix: list          # 28 x 8 traced composite, degree 5
+    __slots__ = ("f_map", "e_map", "g_matrix", "h_matrix", "fe_matrix")
+
+    def __init__(self, f_map: ExtLinearMap, e_map: ExtLinearMap,
+                 g_matrix: list, h_matrix: list, fe_matrix: list):
+        self.f_map = f_map          # 8 x 64 (vector rows, ordered lower pairs)
+        self.e_map = e_map          # 56 x 8 (triple rows)
+        self.g_matrix = g_matrix    # 8 x 8 symmetric, degree 6
+        self.h_matrix = h_matrix    # 8 x 8 symmetric, degree 10
+        self.fe_matrix = fe_matrix  # 28 x 8 traced composite, degree 5
 
 
 _PAIRS8 = list(itertools.combinations(range(8), 2))

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 _EXACT_TYPES = (int, Fraction)
@@ -241,7 +240,6 @@ def imag_part(x):
     return 0
 
 
-@dataclass(frozen=True)
 class TolerancePolicy:
     """Float-mode thresholds; ignored entirely in exact mode.
 
@@ -255,13 +253,22 @@ class TolerancePolicy:
     (``AltTensor.representative``), never to the state as given.
     """
 
-    relative_rank_epsilon: float = 1e-10
-    absolute_floor: float = 1e-13
-    zero_epsilon: float = 1e-8
+    __slots__ = ("relative_rank_epsilon", "absolute_floor", "zero_epsilon")
 
-    def __post_init__(self):
-        if self.relative_rank_epsilon <= 0 or self.absolute_floor <= 0:
+    def __init__(self, relative_rank_epsilon: float = 1e-10,
+                 absolute_floor: float = 1e-13, zero_epsilon: float = 1e-8):
+        if relative_rank_epsilon <= 0 or absolute_floor <= 0:
             raise ValueError("tolerances must be strictly positive")
+        init = object.__setattr__
+        init(self, "relative_rank_epsilon", relative_rank_epsilon)
+        init(self, "absolute_floor", absolute_floor)
+        init(self, "zero_epsilon", zero_epsilon)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TolerancePolicy is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TolerancePolicy is immutable")
 
 
 DEFAULT_TOLERANCE = TolerancePolicy()

@@ -10,7 +10,6 @@ Saturation within 1e-9 counts as pinned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import AltTensor, GroupElement, contractions, slocc_apply
@@ -53,12 +52,14 @@ def one_matrix(p: AltTensor):
     return [[quotient(x, norm2) for x in row] for row in rho]
 
 
-@dataclass
 class OccupationSpectrum:
     """Natural occupation numbers, in descending order."""
 
-    dimension: int
-    eigenvalues: list
+    __slots__ = ("dimension", "eigenvalues")
+
+    def __init__(self, dimension: int, eigenvalues: list):
+        self.dimension = dimension
+        self.eigenvalues = eigenvalues
 
 
 def occupation_spectrum(p: AltTensor, rho=None) -> OccupationSpectrum:

@@ -175,6 +175,32 @@ def test_state_document_roundtrip():
     assert q == p and mode == "rational"
 
 
+def test_long_exact_amplitudes_round_trip(tmp_path, capsys):
+    # 4401 digits: past the int string-conversion limit of Fraction(str)
+    p = canonical_state(6, "GHZ").scale(10 ** 4400)
+    doc = state_document(p, "rational")
+    assert len(doc["amplitudes"][0]["re"]) > sys.get_int_max_str_digits()
+    q, mode = parse_state(doc)
+    assert q == p and mode == "rational"
+    q, _ = parse_state(json.loads(json.dumps(doc)))
+    assert q == p
+    path = write_state(tmp_path, "big.json", doc)
+    code, out, err = run_cli(capsys, "classify", "--input", path)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["classification"]["label"] == "GHZ"
+    # the long form reads integers and p/q only; anything else keeps its error
+    for bad in ("1" * 5000 + "x", "1/0" + "0" * 5000):
+        doc["amplitudes"][0]["re"] = bad
+        with pytest.raises(trivec.cli.CliError, match=r"amplitudes\[0\]: bad scalar"):
+            parse_state(doc)
+    # a JSON number literal that long is an input error, not a traceback
+    path = tmp_path / "number.json"
+    path.write_text(json.dumps(ghz_doc()).replace('"re": "1"', '"re": ' + "1" * 5000, 1))
+    code, out, err = run_cli(capsys, "classify", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: input: ")
+
+
 def test_canonical_and_classify_roundtrip(tmp_path, capsys):
     for dim, label in ((6, "W"), (7, "X"), (8, "XVI")):
         path = str(tmp_path / f"{label}.json")
@@ -203,6 +229,23 @@ def test_canonical_rejects_bad_params(capsys):
                            "family1", "--params", "2,1,1,3")
     assert code == 2
     assert "constraint" in err
+
+
+def test_canonical_rejects_a_zero_denominator(capsys):
+    code, out, err = run_cli(capsys, "canonical", "--dim", "9", "--class",
+                             "family1", "--params", "1,2,4,1/0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: params: ")
+
+
+@pytest.mark.parametrize("command", ["canonical", "random"])
+@pytest.mark.parametrize("dim", ["5", "12"])
+def test_dimension_outside_6_to_9_names_dim(capsys, command, dim):
+    # --dim 5 used to write a file that classify refuses, --dim 12 raised
+    argv = [command, "--dim", dim] + (["--class", "GHZ"] if command == "canonical" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: dim: ")
 
 
 def test_canonical_q1_report(tmp_path, capsys):
@@ -624,3 +667,14 @@ def test_embed_of_amplitudes_beyond_the_double_range(tmp_path, capsys):
                                  "--input", path, "--mode", mode)
         assert (code, err) == (0, ""), value
         assert json.loads(out)["classification"]["label"] == "GHZ"
+
+
+def test_cli_start_up_leaves_dataclasses_and_the_oracle_unimported():
+    # a command imports only what it runs: no dataclass records, and the
+    # oracle only inside the random and selfcheck commands
+    src = os.path.dirname(os.path.dirname(trivec.cli.__file__))
+    code = ("import sys, trivec.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect', 'trivec.oracle') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")

@@ -136,6 +136,19 @@ def test_tolerance_policy_validation():
         TolerancePolicy(absolute_floor=-1.0)
 
 
+def test_tolerance_policy_is_immutable():
+    tol = TolerancePolicy(zero_epsilon=1e-6)
+    assert (tol.relative_rank_epsilon, tol.absolute_floor, tol.zero_epsilon) == \
+        (1e-10, 1e-13, 1e-6)
+    with pytest.raises(AttributeError):
+        tol.zero_epsilon = 1.0
+    with pytest.raises(AttributeError):
+        del tol.absolute_floor
+    with pytest.raises(AttributeError):
+        tol.extra = 1
+    assert tol.zero_epsilon == 1e-6
+
+
 def _brute_rank(m):
     """Rank via minor enumeration, for small exact matrices."""
     nr = len(m)
