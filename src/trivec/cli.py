@@ -29,7 +29,7 @@ import json
 import math
 import re
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -51,18 +51,75 @@ class CliError(Exception):
 # scalar and state (de)serialization
 
 
-_LONG_FRACTION = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+_LONG_FRACTION = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
+# decimal digits (and bits) that one int() or str() call converts: far under
+# the smallest limit sys.set_int_max_str_digits accepts, 640 digits
+_DIGIT_PIECE = 500
+_BIT_PIECE = 1600
+
+
+def _int_of_digits(s: str) -> int:
+    """int(s) for a string of decimal digits of any length.
+
+    ``int`` refuses one past ``sys.get_int_max_str_digits()`` digits and
+    takes quadratic time.  Here the two halves are read apart and joined as
+    hi * 10^k + lo, so every ``int`` call reads at most ``_DIGIT_PIECE``
+    digits and the products run at Karatsuba speed.
+    """
+    powers = {}
+
+    def read(s):
+        if len(s) <= _DIGIT_PIECE:
+            return int(s)
+        k = len(s) // 2
+        power = powers.get(k)
+        if power is None:
+            power = powers[k] = 10 ** k
+        return read(s[:-k]) * power + read(s[-k:])
+
+    return read(s)
+
+
+def _digits_of_int(n: int) -> str:
+    """str(n) for an int of any size.
+
+    ``str`` refuses one past ``sys.get_int_max_str_digits()`` digits and
+    takes quadratic time.  Here the low and high halves of the bits are
+    converted apart and joined in ``Decimal`` arithmetic, lo + hi * 2^k,
+    whose huge products are subquadratic; every ``Decimal(int)`` call takes
+    at most ``_BIT_PIECE`` bits.
+    """
+    if n.bit_length() <= _BIT_PIECE:
+        return str(n)
+    if n < 0:
+        return "-" + _digits_of_int(-n)
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    powers = {}
+
+    def convert(n, bits):
+        if bits <= _BIT_PIECE:
+            return Decimal(n)
+        k = bits // 2
+        hi = n >> k
+        power = powers.get(k)
+        if power is None:
+            power = powers[k] = ctx.power(Decimal(2), k)
+        return ctx.add(convert(n - (hi << k), k),
+                       ctx.multiply(convert(hi, bits - k), power))
+
+    return str(convert(n, n.bit_length()))
 
 
 def _long_fraction(s: str) -> Fraction:
-    """Fraction(s) for an integer or p/q string of any length: ``Fraction``
-    refuses one past ``sys.get_int_max_str_digits()`` digits, ``Decimal``
-    does not.  Any other string gets ``Fraction``'s own error."""
+    """Fraction(s) for an integer or p/q string of any length (see
+    :func:`_int_of_digits`).  Any other string gets ``Fraction``'s own
+    error."""
     m = _LONG_FRACTION.fullmatch(s)
     if m is None:
         return Fraction(s)
-    num, den = m.groups()
-    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+    sign, num, den = m.groups()
+    num = _int_of_digits(num)
+    return Fraction(-num if sign == "-" else num, _int_of_digits(den or "1"))
 
 
 def _parse_scalar(entry, mode, where):
@@ -85,12 +142,11 @@ def _parse_scalar(entry, mode, where):
 
 
 def _exact_str(q) -> str:
-    """str(q) for an exact real of any size: ``str`` refuses an int past
-    ``sys.get_int_max_str_digits()`` digits, ``Decimal`` does not."""
+    """str(q) for an exact real of any size (see :func:`_digits_of_int`)."""
     q = normal_form(q)
     if type(q) is int:
-        return str(Decimal(q))
-    return f"{Decimal(q.numerator)!s}/{Decimal(q.denominator)!s}"
+        return _digits_of_int(q)
+    return f"{_digits_of_int(q.numerator)}/{_digits_of_int(q.denominator)}"
 
 
 def _format_scalar(value, mode):
@@ -155,15 +211,22 @@ def state_document(p: AltTensor, mode: str) -> dict:
     }
 
 
-def load_state(path) -> tuple:
+def _read_document(path):
+    """The JSON document in the file ``path``; a file that cannot be read or
+    parsed is a :class:`CliError` naming ``input``."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise CliError(f"input: cannot read {path} ({exc})") from None
     except ValueError as exc:  # JSONDecodeError, or an over-long number
         raise CliError(f"input: invalid JSON ({exc})") from None
-    return parse_state(doc)
+    except RecursionError:
+        raise CliError("input: invalid JSON (nested too deeply)") from None
+
+
+def load_state(path) -> tuple:
+    return parse_state(_read_document(path))
 
 
 def emit(doc, stream=None):
@@ -309,11 +372,7 @@ def cmd_random(args) -> int:
 def _load_psi(path, count, mode, labels, rule):
     """{index tuple: amplitude} of at most ``count`` entries whose index
     labels lie in ``labels``; ``rule`` states them in an error message."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"input: {exc}") from None
+    doc = _read_document(path)
     if not isinstance(doc, dict):
         raise CliError("document: must be a JSON object")
     amps = doc.get("amplitudes")

@@ -19,12 +19,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
+import sys
+from array import array
 from fractions import Fraction
 
 from .exterior import (AltTensor, SubsetIndexer, contractions, mask_of,
                        merge_sign, submasks, tuple_of, wedge_terms)
 from .scalars import (DEFAULT_TOLERANCE, GaussianRational, TolerancePolicy,
-                      rank as matrix_rank)
+                      normal_form, quotient, rank as matrix_rank)
 
 
 class ExtLinearMap:
@@ -588,13 +592,174 @@ def trace_product(a, b):
     return total
 
 
+# a product row that takes at most this many times n nonzero entry products
+# is accumulated term by term: that is cheaper than packing and decoding it
+_SPARSE_TERMS = 2
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _words(buf, code):
+    words = array(code, buf)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
+
+def _packing(a, b):
+    """(packed rows of ``b``, decoder) for products of rows of ``a`` with ``b``.
+
+    Row k of ``b`` becomes the one int sum_j b[k][j] 2^(64 m j), whose
+    slots of m 64-bit words hold any signed value within the bound
+    n max|a| max|b| of a product entry.  The decoder takes a sum of
+    ``x * packed[k]`` terms back to its list of entries: adding 2^(64m-1)
+    to every slot settles each slot's borrow from the one below, and
+    xor-ing that offset out again leaves each entry as its own two's
+    complement slot, read in bulk from the bytes.
+    """
+    n = len(b)
+    amax = max(max(max(row), -min(row)) for row in a)
+    bmax = max(max(max(row), -min(row)) for row in b)
+    m = ((n * amax * bmax).bit_length() + 64) // 64  # one more bit for the sign
+    size = 8 * m * n
+    offset = int.from_bytes((1 << (64 * m - 1)).to_bytes(8 * m, "little") * n,
+                            "little")
+    packed = []
+    for row in b:
+        if not any(row):
+            packed.append(0)
+            continue
+        if m == 1:
+            words = array("q", row)
+            if _BIG_ENDIAN:
+                words.byteswap()
+            buf = words.tobytes()
+        else:
+            buf = b"".join([v.to_bytes(8 * m, "little", signed=True) for v in row])
+        packed.append((int.from_bytes(buf, "little") ^ offset) - offset)
+
+    def decode(acc):
+        if not acc:
+            return [0] * n
+        buf = ((acc + offset) ^ offset).to_bytes(size, "little")
+        top = _words(buf, "q")
+        if m == 1:
+            return top.tolist()
+        low = _words(buf, "Q")
+        out = top[m - 1::m].tolist()
+        for t in range(m - 2, -1, -1):
+            out = [(v << 64) | w for v, w in zip(out, low[t::m])]
+        return out
+
+    return packed, decode
+
+
+def _support(m):
+    """The columns of the nonzero entries of ``m``, row by row."""
+    n = len(m)
+    cols = range(n)
+    return [list(itertools.compress(cols, row)) if row.count(0) < n else []
+            for row in m]
+
+
+def packed_matmul(a, b):
+    """a . b for square matrices of Python ints, by Kronecker substitution.
+
+    Row i of the product is sum_k a[i][k] b[k].  When that takes more than
+    ``_SPARSE_TERMS * n`` nonzero entry products, it is one sum of
+    ``a[i][k] * packed[k]`` big-int terms, decoded once (see
+    :func:`_packing`); a sparser row is accumulated term by term over the
+    nonzero entries.  The entries are exactly those of :func:`matmul`.
+    """
+    n = len(b)
+    picks = _support(a)
+    if not any(picks):
+        return [[0] * n for _ in a]
+    support = picks if b is a else _support(b)
+    terms = [len(s) for s in support]
+    dense = [sum(map(terms.__getitem__, ks)) > _SPARSE_TERMS * n for ks in picks]
+    if any(dense):
+        packed, decode = _packing(list(itertools.compress(a, dense)), b)
+    out = []
+    for row, ks, packs in zip(a, picks, dense):
+        if packs:
+            out.append(decode(sum(map(operator.mul, row, packed))))
+            continue
+        acc = [0] * n
+        for k in ks:
+            x, brow = row[k], b[k]
+            for j in support[k]:
+                acc[j] += x * brow[j]
+        out.append(acc)
+    return out
+
+
+def _integer_parts(tm):
+    """((re,) or (re, im), den): integer matrices with tm = (re + i im) / den.
+
+    ``None`` for a matrix with a float or complex entry.  Only a matrix
+    with a :class:`GaussianRational` entry gets an imaginary part.
+    """
+    kinds = set(map(type, itertools.chain.from_iterable(tm)))
+    if kinds <= {int}:
+        return (tm,), 1
+    if kinds & {float, complex}:
+        return None
+    re = [[x.re if type(x) is GaussianRational else x for x in row] for row in tm]
+    im = [[x.im if type(x) is GaussianRational else 0 for x in row] for row in tm]
+    parts = (re, im) if GaussianRational in kinds else (re,)
+    den = math.lcm(*{q.denominator for part in parts for row in part for q in row})
+    return tuple([[q.numerator * (den // q.denominator) for q in row] for row in part]
+                 for part in parts), den
+
+
+def _zmul(x, y):
+    """x . y for integer matrices given as (re,) or (re, im) parts.
+
+    A Gaussian product takes three packed real products (Karatsuba):
+    re = xr yr - xi yi and im = (xr + xi)(yr + yi) - xr yr - xi yi.
+    """
+    if len(x) == 1:
+        return (packed_matmul(x[0], y[0]),)
+    (xr, xi), (yr, yi) = x, y
+    rr = packed_matmul(xr, yr)
+    ii = packed_matmul(xi, yi)
+    ss = packed_matmul([list(map(operator.add, u, v)) for u, v in zip(xr, xi)],
+                       [list(map(operator.add, u, v)) for u, v in zip(yr, yi)])
+    return ([list(map(operator.sub, u, v)) for u, v in zip(rr, ii)],
+            [[s - u - v for s, u, v in zip(*rows)] for rows in zip(ss, rr, ii)])
+
+
+def _ztrace(x, y=None):
+    """Tr(x) or Tr(x . y) for parts as in :func:`_zmul`, as (re,) or (re, im)."""
+    if y is None:
+        return tuple(sum(row[i] for i, row in enumerate(u)) for u in x)
+    if len(x) == 1:
+        return (trace_product(x[0], y[0]),)
+    (xr, xi), (yr, yi) = x, y
+    return (trace_product(xr, yr) - trace_product(xi, yi),
+            trace_product(xr, yi) + trace_product(xi, yr))
+
+
 def t_power_traces(tm: list) -> dict:
     """Traces of the needed powers of the 84 x 84 endomorphism.
 
     Returns {n: Tr T^n} for n in 1..4, 6, 8, 10; vanishing of the odd and
     n = 2 traces is an identity of the construction and is asserted by the
-    invariant layer rather than assumed.
+    invariant layer rather than assumed.  An exact T is cleared to integer
+    matrices, T = (A + iB) / d, whose powers run through
+    :func:`packed_matmul`; each trace comes back divided by d^n in the exact
+    normal form.  A float T runs through :func:`matmul`.
     """
+    split = _integer_parts(tm)
+    if split is not None:
+        t, den = split
+        a = _zmul(t, t)
+        b = _zmul(a, a)
+        c = _zmul(b, a)
+        traces = {1: _ztrace(t), 2: _ztrace(a), 3: _ztrace(a, t), 4: _ztrace(b),
+                  6: _ztrace(b, a), 8: _ztrace(b, b), 10: _ztrace(c, b)}
+        return {n: normal_form(GaussianRational(*(quotient(v, den ** n) for v in tr)))
+                for n, tr in traces.items()}
     a = matmul(tm, tm)
     b = matmul(a, a)
     c = matmul(b, a)

@@ -201,6 +201,37 @@ def test_long_exact_amplitudes_round_trip(tmp_path, capsys):
     assert err.startswith("error: input: ")
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for argv in (("classify",), ("embed", "--type", "qubit3"),
+                 ("embed", "--type", "qutrit3")):
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: input: invalid JSON"), argv
+
+
+def test_long_numbers_convert_like_int_and_str():
+    # 10^5 digits, with the limit lifted so that int and str can referee
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = "9" + "8071236459" * 9999 + "000000001"
+        assert len(digits) == 10 ** 5
+        for text in (digits, "-" + digits, "+" + digits, digits + "/" + digits[:50001],
+                     "-0000" + digits[:777] + "/3"):
+            want = Fraction(text)
+            got = trivec.cli._long_fraction(text)
+            assert got == want
+            assert trivec.cli._exact_str(got) == (str(want.numerator) if want.denominator == 1
+                                                  else str(want))
+        for n in (10 ** 99999, -(10 ** 99999), 2 ** 5000 - 1, 10 ** 480):
+            assert trivec.cli._exact_str(n) == str(n)
+            assert trivec.cli._long_fraction(str(n)) == n
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_canonical_and_classify_roundtrip(tmp_path, capsys):
     for dim, label in ((6, "W"), (7, "X"), (8, "XVI")):
         path = str(tmp_path / f"{label}.json")

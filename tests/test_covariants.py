@@ -8,8 +8,9 @@ import trivec.covariants
 from trivec.covariants import (bilinear_form_matrix, dual_trivector,
                                eight_covariants, first_order_map,
                                freudenthal_dual, k_matrix_6, kappa_map,
-                               matmul, seven_covariants, t_map,
-                               t_power_trace, t_power_traces, t_matrix_rows)
+                               matmul, packed_matmul, seven_covariants, t_map,
+                               t_power_trace, t_power_traces, t_matrix_rows,
+                               trace_product, _zmul)
 from trivec.exterior import (AltTensor, SubsetIndexer, canonical_state,
                              interior, mask_of, merge_sign, nine_q,
                              slocc_apply, split_seven, star, tuple_of, wedge)
@@ -17,7 +18,7 @@ from trivec.invariants import quartic_d
 from trivec.oracle import (random_complex_state, random_invertible,
                            random_rational_state, random_state,
                            random_unimodular)
-from trivec.scalars import GaussianRational, pfaffian, rank
+from trivec.scalars import GaussianRational, normal_form, pfaffian, rank
 
 
 def e(dim, *idx):
@@ -386,6 +387,132 @@ def test_t_matrix_rows_match_the_defining_sum():
     for seed in (3, 4):
         p = random_state(9, seed, density=0.3)
         assert t_matrix_rows(p) == _t_rows_by_merge_signs(p)
+
+
+def _random_matrix(rng, n, density, size):
+    """Seeded n x n ints with mixed signs, each entry nonzero with ``density``."""
+    return [[rng.randint(-size, size) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(n)]
+
+
+def _kernel_cases():
+    rng = random.Random(17)
+    big = 10 ** 400
+    zero_lines = _random_matrix(rng, 9, 1.0, 50)
+    for i in range(9):
+        zero_lines[3][i] = zero_lines[i][5] = 0
+    single = [[0] * 7 for _ in range(7)]
+    single[2][4] = -3
+    cases = [
+        ("sparse", _random_matrix(rng, 17, 0.15, 9), _random_matrix(rng, 17, 0.15, 9)),
+        ("dense", _random_matrix(rng, 23, 1.0, 10 ** 6), _random_matrix(rng, 23, 0.9, 10 ** 12)),
+        ("dense 84", _random_matrix(rng, 84, 1.0, 2 ** 40), _random_matrix(rng, 84, 1.0, 2 ** 40)),
+        ("mixed density", _random_matrix(rng, 12, 0.5, 3), _random_matrix(rng, 12, 0.2, 10 ** 30)),
+        ("zero rows and columns", zero_lines, [list(r) for r in reversed(zero_lines)]),
+        ("near 1e400", _random_matrix(rng, 6, 1.0, 1000), _random_matrix(rng, 6, 1.0, 1000)),
+        ("n = 1", [[-7]], [[5]]),
+        ("single nonzero", single, _random_matrix(rng, 7, 1.0, 10 ** 20)),
+        ("zero", [[0] * 4 for _ in range(4)], _random_matrix(rng, 4, 1.0, 9)),
+    ]
+    name, a, b = cases[5]
+    cases[5] = (name, [[big + x if x % 2 else -big - x for x in r] for r in a],
+                [[big - x if x % 3 else -big + x for x in r] for r in b])
+    # every entry at the bound, so each product entry is +-n max|a| max|b|:
+    # the bound 2^63 - 1 fills one 64-bit slot, 2^63 needs two
+    for n, top in ((5, 2 ** 31), (1, 2 ** 63 - 1), (1, 2 ** 63), (4, 2 ** 64 - 1)):
+        cases.append((f"at the bound {n} x {top}",
+                      [[(-1) ** i * top] * n for i in range(n)],
+                      [[1] * n for _ in range(n)] if n > 1 else [[-1]]))
+        cases.append((f"at the bound {n} x -{top}", [[-top] * n for _ in range(n)],
+                      [[-top] * n for _ in range(n)] if n > 1 else [[1]]))
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.fixture(params=["by rule", "all packed", "none packed"])
+def packing(request, monkeypatch):
+    """The kernel's row switch as it is, and forced to either side."""
+    terms = {"by rule": trivec.covariants._SPARSE_TERMS, "all packed": 0,
+             "none packed": 10 ** 9}[request.param]
+    monkeypatch.setattr(trivec.covariants, "_SPARSE_TERMS", terms)
+
+
+@pytest.mark.parametrize("name,a,b", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_packed_matmul_equals_matmul(packing, name, a, b):
+    got = packed_matmul(a, b)
+    assert got == matmul(a, b)
+    assert all(type(x) is int for row in got for x in row)
+    assert packed_matmul(a, a) == matmul(a, a)
+
+
+def _gaussian(re, im):
+    return [[GaussianRational(x, y) if y else x for x, y in zip(r, i)]
+            for r, i in zip(re, im)]
+
+
+# the 84 x 84 case as Gaussian matrices takes seconds in ``matmul``
+GAUSSIAN_CASES = [c for c in KERNEL_CASES if len(c[1]) < 84]
+
+
+@pytest.mark.parametrize("k", range(len(GAUSSIAN_CASES)),
+                         ids=[c[0] for c in GAUSSIAN_CASES])
+def test_gaussian_packed_product_equals_matmul(packing, k):
+    # the real parts of one case and the imaginary parts of another of the
+    # same size, so every shape above also runs as a Gaussian product
+    _, ar, br = GAUSSIAN_CASES[k]
+    n = len(ar)
+    others = [c for c in GAUSSIAN_CASES if len(c[1]) == n and c[1] is not ar]
+    ai, bi = (others[0][2], others[0][1]) if others else ([r[::-1] for r in br], ar)
+    re, im = _zmul((ar, ai), (br, bi))
+    want = matmul(_gaussian(ar, ai), _gaussian(br, bi))
+    assert _gaussian(re, im) == want
+    assert all(type(x) is int for part in (re, im) for row in part for x in row)
+
+
+def _t_power_traces_by_matmul(tm):
+    """The traces by the dense ``matmul`` chain alone."""
+    a = matmul(tm, tm)
+    b = matmul(a, a)
+    c = matmul(b, a)
+    return {1: sum(tm[i][i] for i in range(84)), 2: sum(a[i][i] for i in range(84)),
+            3: trace_product(a, tm), 4: sum(b[i][i] for i in range(84)),
+            6: trace_product(b, a), 8: trace_product(b, b), 10: trace_product(c, b)}
+
+
+def _nine_mode_states():
+    """Sparse and dense nine-mode states whose T has int, Fraction and
+    Gaussian-integer entries."""
+    f1 = canonical_state(9, "family1", (1, 2, 4, 8))
+    gauss = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    return {"family1": f1, "family7": canonical_state(9, "family7"),
+            "family1 / 3": f1.scale(Fraction(1, 3)),
+            "Gaussian family1": f1.scale(gauss).representative()[0],
+            "moved family1": slocc_apply(random_unimodular(9, 100), f1),
+            "dense": random_state(9, 4)}
+
+
+def test_t_power_traces_of_exact_t_equal_the_matmul_chain():
+    for name, p in _nine_mode_states().items():
+        tm = t_matrix_rows(p)
+        got = t_power_traces(tm)
+        assert got == _t_power_traces_by_matmul(tm), name
+        # every trace in the exact normal form
+        assert all(normal_form(v) is v for v in got.values()), name
+
+
+def test_t_power_traces_of_float_t_are_the_matmul_chain_bit_for_bit():
+    zero_floats = [[0] * 84 for _ in range(84)]
+    zero_floats[2][2] = zero_floats[3][5] = 0.0
+    tms = {name: t_matrix_rows(p.to_float())
+           for name, p in _nine_mode_states().items() if name != "dense"}
+    tms["float zeros"] = zero_floats
+    for name, tm in tms.items():
+        got = t_power_traces(tm)
+        want = _t_power_traces_by_matmul(tm)
+        assert [(type(got[n]), repr(got[n])) for n in want] == \
+            [(type(want[n]), repr(want[n])) for n in want], name
 
 
 def test_t_map_family_one_rank():
