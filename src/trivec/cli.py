@@ -66,6 +66,8 @@ def _int_of_digits(s: str) -> int:
     hi * 10^k + lo, so every ``int`` call reads at most ``_DIGIT_PIECE``
     digits and the products run at Karatsuba speed.
     """
+    if len(s) <= _DIGIT_PIECE:
+        return int(s)
     powers = {}
 
     def read(s):
@@ -110,16 +112,17 @@ def _digits_of_int(n: int) -> str:
     return str(convert(n, n.bit_length()))
 
 
-def _long_fraction(s: str) -> Fraction:
-    """Fraction(s) for an integer or p/q string of any length (see
-    :func:`_int_of_digits`).  Any other string gets ``Fraction``'s own
+def _long_fraction(s: str):
+    """Fraction(s), an ``int`` when s is an integer.  An integer or p/q
+    string of any length is read by :func:`_int_of_digits`, without
+    ``Fraction``'s parser; any other string gets ``Fraction``'s own value or
     error."""
     m = _LONG_FRACTION.fullmatch(s)
     if m is None:
         return Fraction(s)
     sign, num, den = m.groups()
-    num = _int_of_digits(num)
-    return Fraction(-num if sign == "-" else num, _int_of_digits(den or "1"))
+    num = -_int_of_digits(num) if sign == "-" else _int_of_digits(num)
+    return num if den is None else Fraction(num, _int_of_digits(den))
 
 
 def _parse_scalar(entry, mode, where):
@@ -127,10 +130,7 @@ def _parse_scalar(entry, mode, where):
     im_s = entry.get("im", "0")
     try:
         if mode == "rational":
-            try:
-                x, y = Fraction(str(re_s)), Fraction(str(im_s))
-            except ValueError:
-                x, y = _long_fraction(str(re_s)), _long_fraction(str(im_s))
+            x, y = _long_fraction(str(re_s)), _long_fraction(str(im_s))
             return normal_form(GaussianRational(x, y))
         x = float(re_s)
         y = float(im_s)

@@ -510,7 +510,11 @@ def t_matrix_rows(p: AltTensor) -> list:
     Columns are indexed by sorted lower triples; the lower indices are
     antisymmetrized over the (pair, vector) argument slots so that matrix
     powers reproduce the trace invariants with their standard normalization.
-    Row/column order is the colex order of ``SubsetIndexer(9, 3)``.
+    Row/column order is the colex order of ``SubsetIndexer(9, 3)``.  For an
+    exact P, T = C . W is one packed product (:func:`_zmul`) of the
+    quadratic W[m12][col], the weighted w12 sums of the column's argument
+    slots, by the linear C[row][m12] = +-P[m3]; a float P adds T up term by
+    term.
     """
     if p.dim != 9 or p.degree != 3:
         raise ValueError("t_matrix expects a three-form in nine dimensions")
@@ -518,44 +522,55 @@ def t_matrix_rows(p: AltTensor) -> list:
     amp = p.masks()
     by_vec = contractions(p, 1)
     by_pair = contractions(p, 2)
-    mat = [[0] * 84 for _ in range(84)]
 
-    def accumulate(pairmask, f, weight, col):
-        one = by_pair.get(pairmask)
-        two = by_vec.get(1 << (f - 1))
-        if not one or not two:
-            return
+    # partners[m1, f]: (m1 | m2, i_f P at m2, sign) for each pair m2 of
+    # i_f P disjoint from the vector m1, in the order of i_f P
+    partners = {(1 << e, f): [(1 << e | m2, v2, vec_pair[(1 << e, m2)] < 0)
+                              for m2, v2 in by_vec.get(1 << (f - 1), {}).items()
+                              if not m2 >> e & 1]
+                for e in range(9) for f in range(1, 10)}
+
+    def w12_sums(pairmask, f):
         w12 = {}
-        for m1, v1 in one.items():
-            for m2, v2 in two.items():
-                if m1 & m2:
-                    continue
-                m = m1 | m2
+        for m1, v1 in by_pair.get(pairmask, {}).items():
+            for m, v2, negate in partners[(m1, f)]:
                 term = v1 * v2
-                if vec_pair[(m1, m2)] < 0:
+                if negate:
                     term = -term
                 cur = w12.get(m)
                 w12[m] = term if cur is None else cur + term
+        return w12
+
+    slots = [(col, weight, w12_sums(mask_of(pair), f))
+             for col, (w1, w2, w3) in enumerate(_TRIPLES9)
+             for pair, f, weight in (((w1, w2), w3, 2), ((w1, w3), w2, -2),
+                                     ((w2, w3), w1, 2))]
+    if p.mode == "float":
+        mat = [[0] * 84 for _ in range(84)]
         # each entry of T gets at most one term per m12, so the order of
         # the completions m3 does not change any sum
+        for col, weight, w12 in slots:
+            for m12, v12 in w12.items():
+                for m3, r, negate in completions[m12] if v12 else ():
+                    if (v3 := amp.get(m3)) is not None:
+                        term = v12 * v3
+                        mat[r][col] += weight * (-term if negate else term)
+        return mat
+    w = [[0] * 84 for _ in range(84)]
+    for col, weight, w12 in slots:
         for m12, v12 in w12.items():
-            if not v12:
-                continue
-            for m3, r, negate in completions[m12]:
-                v3 = amp.get(m3)
-                if v3 is None:
-                    continue
-                term = v12 * v3
-                if negate:
-                    term = -term
-                row = mat[r]
-                row[col] += weight * term
-
-    for col, (w1, w2, w3) in enumerate(_TRIPLES9):
-        accumulate(mask_of((w1, w2)), w3, 2, col)
-        accumulate(mask_of((w1, w3)), w2, -2, col)
-        accumulate(mask_of((w2, w3)), w1, 2, col)
-    return mat
+            w[_TRIPLE_POS[m12]][col] += weight * v12
+    c = [[0] * 84 for _ in range(84)]
+    for m12, k in _TRIPLE_POS.items():
+        for m3, r, negate in completions[m12]:
+            if (v3 := amp.get(m3)) is not None:
+                c[r][k] = -v3 if negate else v3
+    (cp, cden), (wp, wden) = _integer_parts(c), _integer_parts(w)
+    tm, den = _zmul(cp, wp), cden * wden
+    if den == 1 and len(tm) == 1:
+        return tm[0]
+    return [[normal_form(GaussianRational(*(quotient(v, den) for v in vs)))
+             for vs in zip(*rows)] for rows in zip(*tm)]
 
 
 def t_map(p: AltTensor) -> ExtLinearMap:
@@ -715,11 +730,12 @@ def _integer_parts(tm):
 def _zmul(x, y):
     """x . y for integer matrices given as (re,) or (re, im) parts.
 
-    A Gaussian product takes three packed real products (Karatsuba):
+    A real factor takes one packed product per part of the other.  A
+    Gaussian product takes three packed real products (Karatsuba):
     re = xr yr - xi yi and im = (xr + xi)(yr + yi) - xr yr - xi yi.
     """
-    if len(x) == 1:
-        return (packed_matmul(x[0], y[0]),)
+    if len(x) == 1 or len(y) == 1:
+        return tuple(packed_matmul(a, b) for a in x for b in y)
     (xr, xi), (yr, yi) = x, y
     rr = packed_matmul(xr, yr)
     ii = packed_matmul(xi, yi)

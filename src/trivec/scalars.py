@@ -288,52 +288,62 @@ def matrix_is_exact(m) -> bool:
     return all(is_exact(x) for row in m for x in row)
 
 
-def _exact_div(x, d):
-    """Exact division, staying in int when both operands are int."""
-    if isinstance(x, int) and isinstance(d, int):
-        q, r = divmod(x, d)
-        if r:
-            raise ArithmeticError("non-exact integer division in Bareiss step")
-        return q
-    return x / d
+def _combine(s, a, t, f, d, integral):
+    """(a s - f t) / d entry by entry: one row of a Bareiss step.  An int
+    row divides with ``//``; its floor remainders share the sign of d, so
+    sum(q) d = a sum(s) - f sum(t) exactly when every division is exact."""
+    if d == 1:
+        return [a * x - f * y for x, y in zip(s, t)]
+    if not integral:
+        return [(a * x - f * y) / d for x, y in zip(s, t)]
+    q = [(a * x - f * y) // d for x, y in zip(s, t)]
+    if sum(q) * d != a * sum(s) - f * sum(t):
+        raise ArithmeticError("non-exact integer division in Bareiss step")
+    return q
 
 
 def _bareiss(m):
     """Fraction-free elimination.  Returns (rank, det_of_leading_block, swaps).
 
     ``det`` is meaningful only when the matrix is square and has full rank;
-    the caller adjusts for the parity of row swaps.
+    the caller adjusts for the parity of row swaps.  Each row s keeps the
+    divisor d of its last update; after a step with pivot p the classic
+    Bareiss row is s p / d.  A step brings the pivot row r current and
+    updates only the rows with a nonzero entry f in the pivot column, to
+    (p s - f r) / d with divisor p.  Scaling keeps a row's zeros, so the
+    pivots are those of classic Bareiss.  A matrix with a non-int entry runs
+    on Fractions or Gaussian rationals throughout.
     """
     nr, nc = _check_rect(m)
     if nr == 0 or nc == 0:
         return 0, 1, 0
-    m = [list(row) for row in m]
+    kinds = {type(x) for row in m for x in row}
+    integral = all(issubclass(t, int) for t in kinds)
+    if not integral:
+        one = GaussianRational(1) if GaussianRational in kinds else Fraction(1)
+        m = [[one * x for x in row] for row in m]
+    rows = [list(row) for row in m]
+    divs = [1] * nr
     prev = 1
-    rank = 0
-    swaps = 0
+    rank = swaps = 0
     for col in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if m[i][col]:
-                piv = i
-                break
+        piv = next((i for i in range(rank, nr) if rows[i][col]), None)
         if piv is None:
             continue
         if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            divs[rank], divs[piv] = divs[piv], divs[rank]
             swaps += 1
-        pv = m[rank][col]
+        r = rows[rank][col:]
+        if divs[rank] != prev:
+            r = _combine(r, prev, r, 0, divs[rank], integral)
+        pv, r = r[0], r[1:]
         for i in range(rank + 1, nr):
-            fi = m[i][col]
-            row_i = m[i]
-            row_r = m[rank]
-            if fi:
-                m[i] = [_exact_div(pv * row_i[j] - fi * row_r[j], prev)
-                        for j in range(nc)]
-            elif prev != 1:
-                m[i] = [_exact_div(pv * row_i[j], prev) for j in range(nc)]
-            else:
-                m[i] = [pv * x for x in row_i]
+            s = rows[i]
+            f = s[col]
+            if f:
+                s[col + 1:] = _combine(s[col + 1:], pv, r, f, divs[i], integral)
+                divs[i] = pv
         prev = pv
         rank += 1
         if rank == nr:

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -209,6 +210,22 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv, "--input", str(path))
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: input: invalid JSON"), argv
+
+
+def test_fraction_strings_read_like_fraction():
+    # integer and p/q strings skip Fraction's parser; every string keeps
+    # Fraction's value, and its error type and text
+    integers = ("0", "-0", "+17", "007", " 5 ", "5\n", "\uff15")
+    for text in integers + ("-6/8", "+3/9", "\t-3/4 ", "1\u0663/\u0664", "1.5", "-2e3",
+                            ".5", "1_000", "7/" + "3" * 600):
+        got = trivec.cli._long_fraction(text)
+        assert got == Fraction(text), text
+        assert type(got) is (int if text in integers else Fraction), text
+    for text in ("3/0", "-3/0", "3 / 4", "3/-4", "--1", "0x10", "", "abc"):
+        with pytest.raises((ValueError, ZeroDivisionError)) as want:
+            Fraction(text)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            trivec.cli._long_fraction(text)
 
 
 def test_long_numbers_convert_like_int_and_str():

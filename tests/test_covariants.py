@@ -18,7 +18,8 @@ from trivec.invariants import quartic_d
 from trivec.oracle import (random_complex_state, random_invertible,
                            random_rational_state, random_state,
                            random_unimodular)
-from trivec.scalars import GaussianRational, normal_form, pfaffian, rank
+from trivec.scalars import (GaussianRational, normal_form, pfaffian, quotient,
+                            rank, to_complex)
 
 
 def e(dim, *idx):
@@ -387,6 +388,46 @@ def test_t_matrix_rows_match_the_defining_sum():
     for seed in (3, 4):
         p = random_state(9, seed, density=0.3)
         assert t_matrix_rows(p) == _t_rows_by_merge_signs(p)
+
+
+def _small_integer_states():
+    """Canonical and unimodular-moved nine-mode states with small int or
+    Gaussian-integer amplitudes."""
+    states = {"dense": random_state(9, 4)}
+    for row, params in (("family1", (1, 2, 4, 8)), ("family5", (1,)), ("family7", ())):
+        p = canonical_state(9, row, params)
+        states[row] = p
+        states[row + " moved"] = slocc_apply(random_unimodular(9, 100), p)
+    for name, p in list(states.items()):
+        states["Gaussian " + name] = p.scale(GaussianRational(2, -1))
+    # W of i P is real while C is imaginary: a real by Gaussian product
+    states["imaginary family1 moved"] = states["family1 moved"].scale(GaussianRational(0, 1))
+    return states
+
+
+def test_exact_t_matrix_rows_equal_the_float_path():
+    # T is cubic in P: with |P| < 150 and a few thousand terms per entry,
+    # every product and partial sum is an integer that doubles hold exactly
+    for name, p in _small_integer_states().items():
+        assert max(abs(to_complex(v)) for v in p.masks().values()) < 150, name
+        exact = t_matrix_rows(p)
+        floats = t_matrix_rows(p.to_float())
+        assert all(normal_form(x) is x for row in exact for x in row), name
+        assert [[to_complex(x) for x in row] for row in exact] == \
+            [[complex(y) for y in row] for row in floats], name
+
+
+def test_t_matrix_rows_of_a_fraction_state_scale_by_the_cube():
+    moved = slocc_apply(random_unimodular(9, 100), canonical_state(9, "family1", (1, 2, 4, 8)))
+    for factor, c in ((Fraction(5, 6), 6), (GaussianRational(Fraction(3, 5), Fraction(4, 5)), 5)):
+        p = moved.scale(factor)
+        q = p.scale(c)  # an integer multiple
+        assert all(type(v) in (int, GaussianRational) for v in q.masks().values())
+        want = [[normal_form(x / c ** 3) if type(x) is GaussianRational else quotient(x, c ** 3)
+                 for x in row] for row in t_matrix_rows(q)]
+        got = t_matrix_rows(p)
+        assert got == want
+        assert all(type(x) is type(y) for gr, wr in zip(got, want) for x, y in zip(gr, wr))
 
 
 def _random_matrix(rng, n, density, size):

@@ -7,7 +7,7 @@ import pytest
 from trivec.covariants import t_matrix_rows
 from trivec.exterior import GroupElement, canonical_state
 from trivec.oracle import random_invertible
-from trivec.scalars import (GaussianRational, TolerancePolicy,
+from trivec.scalars import (GaussianRational, TolerancePolicy, _bareiss,
                             _content_free, _householder_diagonal,
                             _pivoted_qr_diagonal, determinant, float_rank,
                             hermitian_eigensystem, hermitian_eigenvalues,
@@ -313,6 +313,66 @@ def test_determinant_anchors():
     assert determinant(diag) == -1
     with pytest.raises(ValueError):
         determinant([[1, 2, 3], [4, 5, 6]])
+
+
+def _bareiss_cases():
+    """Seeded sparse and dense matrices of int, Gaussian-int and Fraction
+    entries in square, wide, tall, 1 x n and n x 1 shapes, each also made
+    rank-deficient and given a zero row and a zero column."""
+    rng = random.Random(24)
+    entries = {
+        "int": lambda: rng.randint(-9, 9),
+        "Gaussian": lambda: GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4)),
+        "Fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+    }
+    cases = []
+    for kind, entry in entries.items():
+        for nr, nc in ((1, 1), (1, 6), (6, 1), (5, 5), (7, 4), (4, 7), (9, 9)):
+            for density in (0.25, 1.0):
+                m = [[entry() if rng.random() < density else 0 for _ in range(nc)]
+                     for _ in range(nr)]
+                name = f"{kind} {nr}x{nc} density {density}"
+                cases.append((name, m))
+                if nr > 2:
+                    deficient = [list(row) for row in m]
+                    deficient[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
+                    cases.append((name + " rank-deficient", deficient))
+                zeros = [list(row) for row in m]
+                zeros[rng.randrange(nr)] = [0] * nc
+                c = rng.randrange(nc)
+                for row in zeros:
+                    row[c] = 0
+                cases.append((name + " zero row and column", zeros))
+    return cases
+
+
+BAREISS_CASES = _bareiss_cases()
+
+
+@pytest.mark.parametrize("name,m", BAREISS_CASES, ids=[c[0] for c in BAREISS_CASES])
+def test_bareiss_rank_and_det_equal_row_reduce(name, m):
+    # both pivot on the first nonzero entry of a column, so they take the
+    # same pivots: the last Bareiss pivot, signed by the row swaps, is the
+    # product of the Gauss-Jordan pivots
+    r, det, swaps = _bareiss(m)
+    _, pivots, want = row_reduce(m)
+    assert r == len(pivots)
+    assert (-det if swaps % 2 else det) == want
+
+
+def test_bareiss_raises_on_a_non_exact_division():
+    class Skewed(int):
+        """An int whose products are one too large."""
+
+        def __mul__(self, other):
+            return int(self) * int(other) + 1
+
+        __rmul__ = __mul__
+
+    m = [[2, 1, 1], [1, 3, 1], [1, 1, 4]]
+    assert _bareiss(m) == (3, 17, 0)
+    with pytest.raises(ArithmeticError, match="non-exact integer division"):
+        _bareiss([[Skewed(x) for x in row] for row in m])
 
 
 def test_determinant_matches_permutation_expansion():
