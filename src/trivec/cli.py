@@ -385,8 +385,8 @@ def _load_psi(path, count, mode, labels, rule):
             raise CliError(f"{where}: must be an object")
         idx = entry.get("indices")
         if (not isinstance(idx, list) or len(idx) != 3
-                or any(isinstance(i, bool) for i in idx)):
-            raise CliError(f"{where}.indices: need three labels")
+                or any(type(i) is not int for i in idx)):
+            raise CliError(f"{where}.indices: need three integer labels")
         if any(i not in labels for i in idx):
             raise CliError(f"{where}.indices: {rule}, got {idx}")
         key = tuple(idx)

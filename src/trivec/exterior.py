@@ -916,8 +916,8 @@ def canonical_state(dim: int, label: str, params=()) -> AltTensor:
             raise KeyError(f"unknown eight-dimensional class {label!r}") from None
         return lambda_state(coeffs)
     if dim == 9:
-        lab = label.lower()
-        if not lab.startswith("family"):
+        family = {f"family{f}": f for f in FAMILY_PARAM_COUNT}.get(label.lower())
+        if family is None:
             raise KeyError(f"unknown nine-dimensional label {label!r}")
-        return family_state(int(lab[len("family"):]), params)
+        return family_state(family, params)
     raise ValueError("canonical states exist for dimensions 6..9")

@@ -193,28 +193,24 @@ def nine_js(p: AltTensor):
 
 def delta_24(js):
     j12, _, j24, _ = js
-    return j12 ** 2 - _frac(1, 111) * j24
+    return j12 ** 2 - Fraction(1, 111) * j24
 
 
 def delta_48(js):
     j12, j18, j24, j30 = js
-    return (j24 ** 2 + _frac(13 * 23 ** 2 * 293, 2 ** 2 * 5 ** 4) * j12 ** 4
-            + _frac(3 ** 2 * 11 * 127 * 199 ** 2, 2 ** 3 * 5 ** 4 * 61) * j12 * j18 ** 2
-            - _frac(257 * 3 ** 2, 5 * 2 ** 3) * j12 ** 2 * j24
-            - _frac(11 * 199 ** 2, 2 ** 2 * 5 ** 3 * 61) * j18 * j30)
+    return (j24 ** 2 + Fraction(13 * 23 ** 2 * 293, 2 ** 2 * 5 ** 4) * j12 ** 4
+            + Fraction(3 ** 2 * 11 * 127 * 199 ** 2, 2 ** 3 * 5 ** 4 * 61) * j12 * j18 ** 2
+            - Fraction(257 * 3 ** 2, 5 * 2 ** 3) * j12 ** 2 * j24
+            - Fraction(11 * 199 ** 2, 2 ** 2 * 5 ** 3 * 61) * j18 * j30)
 
 
 def delta_48_prime(js):
     j12, j18, j24, j30 = js
     return (113 * 193 * j12 ** 4
-            - _frac(11 * 199 ** 2 * 21347, 3 ** 5 * 61) * j12 * j18 ** 2
-            + _frac(2 * 5 ** 3 * 257, 3 ** 4) * j12 ** 2 * j24
-            - _frac(2 ** 4 * 5 ** 4, 3 ** 6) * j24 ** 2
-            + _frac(2 ** 3 * 5 * 11 * 199 ** 2, 3 ** 5 * 61) * j18 * j30)
-
-
-def _frac(a, b):
-    return Fraction(a, b)
+            - Fraction(11 * 199 ** 2 * 21347, 3 ** 5 * 61) * j12 * j18 ** 2
+            + Fraction(2 * 5 ** 3 * 257, 3 ** 4) * j12 ** 2 * j24
+            - Fraction(2 ** 4 * 5 ** 4, 3 ** 6) * j24 ** 2
+            + Fraction(2 ** 3 * 5 * 11 * 199 ** 2, 3 ** 5 * 61) * j18 * j30)
 
 
 # degree-132 discriminant separating the first two families; coefficients
@@ -294,8 +290,8 @@ def qutrit_normal_invariants(a, b, c) -> dict:
            - 4 * b ** 6 * c ** 6 + a ** 3 * c ** 9 - b ** 3 * c ** 9)
     d333 = (i6 ** 3 * i9 ** 2 - i12 ** 2 * i6 ** 2 - 32 * i12 ** 3
             + 36 * i12 * i6 * i9 ** 2 + 108 * i9 ** 4)
-    d24 = i12 ** 2 - _frac(2, 3) * i6 * i9 ** 2
-    d21 = (8 * i12 + _frac(1, 3) * i6 ** 2) * i9
+    d24 = i12 ** 2 - Fraction(2, 3) * i6 * i9 ** 2
+    d21 = (8 * i12 + Fraction(1, 3) * i6 ** 2) * i9
     return {"I6": i6, "I9": i9, "I12": i12, "Delta333": d333,
             "D36": d333, "D24": d24, "D21": d21}
 
@@ -359,109 +355,55 @@ def qutrit_normal_form_coefficients(psi: dict):
 # the Jacobian of the four invariants on the semisimple normal form
 
 
-class _Poly:
-    """Tiny exact multivariate polynomial in (a, b, c, d) for differentiation."""
+class _Dual:
+    """Exact value and derivative along one parameter (forward mode)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("v", "d")
 
-    def __init__(self, terms=None):
-        self.terms = {m: co for m, co in (terms or {}).items() if co}
-
-    @classmethod
-    def const(cls, v):
-        return cls({(0, 0, 0, 0): Fraction(v)})
-
-    @classmethod
-    def variable(cls, i):
-        mono = [0, 0, 0, 0]
-        mono[i] = 1
-        return cls({tuple(mono): Fraction(1)})
-
-    def _lift(self, other):
-        return other if isinstance(other, _Poly) else _Poly.const(other)
+    def __init__(self, v, d):
+        self.v, self.d = v, d
 
     def __add__(self, other):
-        other = self._lift(other)
-        out = dict(self.terms)
-        for m, co in other.terms.items():
-            out[m] = out.get(m, 0) + co
-        return _Poly(out)
+        if isinstance(other, _Dual):
+            return _Dual(self.v + other.v, self.d + other.d)
+        return _Dual(self.v + other, self.d)
 
     __radd__ = __add__
 
+    def __neg__(self):
+        return _Dual(-self.v, -self.d)
+
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self + -other
 
     def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
-    def __neg__(self):
-        return _Poly({m: -co for m, co in self.terms.items()})
+        return -self + other
 
     def __mul__(self, other):
-        other = self._lift(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                out[m] = out.get(m, 0) + c1 * c2
-        return _Poly(out)
+        if isinstance(other, _Dual):
+            return _Dual(self.v * other.v, self.v * other.d + self.d * other.v)
+        return _Dual(self.v * other, self.d * other)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        out = _Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def diff(self, i):
-        out = {}
-        for m, co in self.terms.items():
-            if m[i]:
-                mm = list(m)
-                mm[i] -= 1
-                out[tuple(mm)] = co * m[i]
-        return _Poly(out)
-
-    def eval_at(self, vals):
-        total = Fraction(0)
-        for m, co in self.terms.items():
-            term = co
-            for x, e in zip(vals, m):
-                if e:
-                    term = term * x ** e
-            total += term
-        return total
-
-
-_JACOBIAN_CACHE = None
-
-
-def _jacobian_polys():
-    """4 x 4 array of partial derivatives of the closed-form invariants."""
-    global _JACOBIAN_CACHE
-    if _JACOBIAN_CACHE is None:
-        from .oracle import appendix_b
-        gens = tuple(_Poly.variable(i) for i in range(4))
-        js = appendix_b(*gens)
-        _JACOBIAN_CACHE = [[js[j].diff(i) for j in range(4)] for i in range(4)]
-    return _JACOBIAN_CACHE
+        return _Dual(self.v ** n, n * self.v ** (n - 1) * self.d)
 
 
 def jacobian_matrix(a, b, c, d):
     """4 x 4 matrix of partials of (J12, J18, J24, J30) at exact (a, b, c, d).
 
-    Row i differentiates with respect to the i-th parameter.  Entries come
-    from symbolic differentiation of the closed forms, evaluated exactly;
-    the factored determinant identity cross-checks the whole construction.
+    Row i differentiates with respect to the i-th parameter.  Each row
+    evaluates the closed forms (``oracle.appendix_b``) once on exact dual
+    numbers, with the i-th parameter's derivative seeded to 1.  Two tests
+    check the result: exact central differences of the closed forms, and
+    the factored determinant (``jacobian_det_factored``).
     """
+    from .oracle import appendix_b
     vals = tuple(Fraction(x) for x in (a, b, c, d))
-    return [[entry.eval_at(vals) for entry in row] for row in _jacobian_polys()]
+    return [[j.d for j in appendix_b(*(_Dual(x, Fraction(k == i))
+                                       for k, x in enumerate(vals)))]
+            for i in range(4)]
 
 
 def jacobian_rank(a, b, c, d):

@@ -152,8 +152,9 @@ def brute_pairing(form: FullTensor, vec: FullTensor):
 def appendix_b(a, b, c, d):
     """(J12, J18, J24, J30) evaluated on the semisimple normal form.
 
-    Accepts numbers or polynomial generators; this transcription is the
-    independent oracle against which the trace-invariant pipeline is tested.
+    Accepts numbers or anything with +, -, * and integer powers (the
+    Jacobian passes dual numbers); this transcription is the independent
+    oracle against which the trace-invariant pipeline is tested.
     """
     j12 = (a**12 + b**12 + c**12 + 22*c**6*d**6 + d**12
            - 220*a**3*(b**3 - c**3)*(b**3 - d**3)*(c**3 - d**3)

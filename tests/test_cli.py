@@ -151,9 +151,11 @@ def test_embed_rejects_malformed_documents(tmp_path, capsys):
                                "--input", path)
         assert code == 2
         assert field in err
-    # a label that is a list or an object is named, not a traceback
+    # a label that is a list, an object or a float is named, not a
+    # traceback, and a float equal to an allowed label is not read as it
     for kind, idx in (("qubit3", [[0], 0, 0]), ("qutrit3", [{"a": 1}, 1, 1]),
-                      ("qubit3", [0, 0, {}]), ("qutrit3", [1, [2], 3])):
+                      ("qubit3", [0, 0, {}]), ("qutrit3", [1, [2], 3]),
+                      ("qutrit3", [1.0, 2, 3]), ("qubit3", [1.0, 0, 1])):
         first = dict(entry, indices=[0, 0, 0] if kind == "qubit3" else [1, 1, 1])
         path = write_state(tmp_path, "psi.json",
                            {"amplitudes": [first, dict(entry, indices=idx)]})
@@ -284,6 +286,15 @@ def test_canonical_rejects_a_zero_denominator(capsys):
                              "family1", "--params", "1,2,4,1/0")
     assert (code, out) == (2, "")
     assert err.startswith("error: params: ")
+
+
+@pytest.mark.parametrize("label", ["familyx", "family", "family99", "family0"])
+def test_canonical_bad_family_label_names_class(capsys, label):
+    # the label is at fault, not the parameters
+    code, out, err = run_cli(capsys, "canonical", "--dim", "9", "--class",
+                             label, "--params", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: class: unknown nine-dimensional label"), err
 
 
 @pytest.mark.parametrize("command", ["canonical", "random"])

@@ -315,25 +315,26 @@ def _central_difference_weights(m_points):
 def test_jacobian_matches_exact_divided_differences():
     # the invariants have degree 30, so a 15-point exact central-difference
     # stencil reconstructs every partial derivative with no truncation term;
-    # this is an independent route that never touches the symbolic
-    # differentiation used by jacobian_matrix
+    # this is an independent route that never touches the dual numbers used
+    # by jacobian_matrix.  The second point is degenerate: rank 3 there.
     weights = _central_difference_weights(15)
-    base = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
     h = Fraction(1, 3)
-    m = jacobian_matrix(*base)
-    for i in range(4):
-        sums = [Fraction(0)] * 4
-        for k, ck in enumerate(weights, start=1):
-            up = list(base)
-            dn = list(base)
-            up[i] += k * h
-            dn[i] -= k * h
-            jup = appendix_b(*up)
-            jdn = appendix_b(*dn)
+    for base in ((Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1)),
+                 (Fraction(1), Fraction(-2), Fraction(0), Fraction(3))):
+        m = jacobian_matrix(*base)
+        for i in range(4):
+            sums = [Fraction(0)] * 4
+            for k, ck in enumerate(weights, start=1):
+                up = list(base)
+                dn = list(base)
+                up[i] += k * h
+                dn[i] -= k * h
+                jup = appendix_b(*up)
+                jdn = appendix_b(*dn)
+                for j in range(4):
+                    sums[j] += ck * (jup[j] - jdn[j])
             for j in range(4):
-                sums[j] += ck * (jup[j] - jdn[j])
-        for j in range(4):
-            assert sums[j] / h == m[i][j]
+                assert sums[j] / h == m[i][j], (base, i, j)
 
 
 def test_seven_and_eight_homogeneity():

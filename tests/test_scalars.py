@@ -318,7 +318,9 @@ def test_determinant_anchors():
 def _bareiss_cases():
     """Seeded sparse and dense matrices of int, Gaussian-int and Fraction
     entries in square, wide, tall, 1 x n and n x 1 shapes, each also made
-    rank-deficient and given a zero row and a zero column."""
+    rank-deficient and given a zero row and a zero column.  The Gaussian
+    ones are also given a last row i times the first, which drops the rank
+    over C but not over R."""
     rng = random.Random(24)
     entries = {
         "int": lambda: rng.randint(-9, 9),
@@ -337,6 +339,10 @@ def _bareiss_cases():
                     deficient = [list(row) for row in m]
                     deficient[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
                     cases.append((name + " rank-deficient", deficient))
+                    if kind == "Gaussian":
+                        deficient = [list(row) for row in m]
+                        deficient[-1] = [GaussianRational(0, 1) * x for x in m[0]]
+                        cases.append((name + " rank-deficient over C", deficient))
                 zeros = [list(row) for row in m]
                 zeros[rng.randrange(nr)] = [0] * nc
                 c = rng.randrange(nc)
@@ -358,6 +364,8 @@ def test_bareiss_rank_and_det_equal_row_reduce(name, m):
     _, pivots, want = row_reduce(m)
     assert r == len(pivots)
     assert (-det if swaps % 2 else det) == want
+    # rank() of an integral matrix first divides out row and column content
+    assert rank(m) == len(pivots)
 
 
 def test_bareiss_raises_on_a_non_exact_division():
