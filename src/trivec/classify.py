@@ -26,10 +26,9 @@ from .covariants import (eight_covariants, first_order_map, k_matrix_6,
 from .exterior import (AltTensor, GroupElement, contractions, mask_of,
                        merge_sign, slocc_apply, tuple_of)
 from .invariants import (DELTA_DEGREES, J_DEGREES, dual_trivector, eight_i,
-                         invariant_is_zero, nine_deltas, nine_js_scaled,
-                         quartic_d, seven_j)
-from .scalars import (DEFAULT_TOLERANCE, TolerancePolicy, imag_part, rank,
-                      real_part, row_reduce, to_complex)
+                         nine_deltas, nine_js_scaled, quartic_d, seven_j)
+from .scalars import (DEFAULT_TOLERANCE, TolerancePolicy, invariant_is_zero,
+                      rank, row_reduce, to_complex, zero_threshold)
 
 
 class ClassLabel:
@@ -273,22 +272,23 @@ def classify6_real(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Cl
     """
     _check(p, 6)
     for v in p.masks().values():
-        if imag_part(v):
+        if v.imag:
             raise ValueError("classify6_real requires real amplitudes")
     out = classify6(p, tol)
     if out.label != "GHZ":
         return out
-    dr = real_part(out.invariants["quartic_d"][0])
+    dr = out.invariants["quartic_d"][0].real
     label = "GHZ+" if dr > 0 else "GHZ-"
     if p.mode == "float" and dr < 0:
         k = out.detail["k_matrix"]
         s = (-dr) ** 0.5
         j = [[to_complex(x) / s for x in row] for row in k]
+        cut = zero_threshold(1.0, 1, tol.COMPLEX_STRUCTURE)  # J has unit scale
         for i in range(6):
             for jj in range(6):
                 want = -1.0 if i == jj else 0.0
                 got = sum(j[i][t] * j[t][jj] for t in range(6))
-                if abs(got - want) > 1e-8:
+                if abs(got - want) > cut:
                     out.detail["complex_structure_defect"] = abs(got - want)
                     return out.relabeled("Unclassified")
     return out.relabeled(label)
@@ -371,8 +371,9 @@ def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
         rotated = slocc_apply(g, p)
         sub_dim = 7 if support == 7 else 6
         keep = {}
+        scale = rotated.max_abs() if p.mode == "float" else 0.0
         for m, v in rotated.masks().items():
-            if p.mode == "float" and abs(v) <= 1e-10 * max(rotated.max_abs(), 1e-300):
+            if invariant_is_zero(v, scale, 1, tol.ROTATED_NOISE):
                 continue
             if m >= 1 << sub_dim:
                 return ClassLabel(8, "Unclassified", (support,),

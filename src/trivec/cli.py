@@ -13,10 +13,11 @@ State file schema (version 1)::
       ]
     }
 
-In rational mode ``re``/``im`` are fraction strings ("p/q" or "p"); in float
-mode they are finite decimal strings.  Indices are 1-based integers (not
-booleans) and pairwise distinct; non-increasing triples are normalized by
-permutation sign on load and duplicate index sets are rejected.
+In rational mode ``re``/``im`` are fraction strings ("p/q", "p", or a decimal
+with an exponent within +-``MAX_EXPONENT``); in float mode they are finite
+decimal strings; JSON numbers read as their text.  Indices are 1-based
+integers (not booleans) and pairwise distinct; non-increasing triples are
+normalized by permutation sign on load and duplicate index sets are rejected.
 
 Exit codes: 0 classified, 2 input error, 3 unclassified.
 """
@@ -37,7 +38,7 @@ from .classify import classify
 from .exterior import (AltTensor, canonical_state, embed_three_qubits,
                        embed_three_qutrits, slocc_apply, sort_indices)
 from .invariants import qutrit_normal_form_coefficients, qutrit_normal_invariants
-from .scalars import GaussianRational, imag_part, normal_form, to_complex
+from .scalars import GaussianRational, normal_form, to_complex
 from .spectra import occupation_spectrum, one_matrix, pinning_analysis
 
 FORMAT_VERSION = 1
@@ -52,6 +53,8 @@ class CliError(Exception):
 
 
 _LONG_FRACTION = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
+_EXPONENT = re.compile(r"[eE]([+-]?\d[\d_]*)\s*\Z")
+MAX_EXPONENT = 4300  # CPython's int-string limit; Fraction("1e999999999") hangs
 # decimal digits (and bits) that one int() or str() call converts: far under
 # the smallest limit sys.set_int_max_str_digits accepts, 640 digits
 _DIGIT_PIECE = 500
@@ -114,11 +117,15 @@ def _digits_of_int(n: int) -> str:
 
 def _long_fraction(s: str):
     """Fraction(s), an ``int`` when s is an integer.  An integer or p/q
-    string of any length is read by :func:`_int_of_digits`, without
-    ``Fraction``'s parser; any other string gets ``Fraction``'s own value or
-    error."""
+    string of any length is read by :func:`_int_of_digits`; a decimal
+    exponent beyond ``MAX_EXPONENT`` is a ValueError; any other string gets
+    ``Fraction``'s own value or error."""
     m = _LONG_FRACTION.fullmatch(s)
     if m is None:
+        e = _EXPONENT.search(s)
+        digits = e.group(1).replace("_", "").lstrip("+-0") if e else ""
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond +-{MAX_EXPONENT}: {s!r}")
         return Fraction(s)
     sign, num, den = m.groups()
     num = -_int_of_digits(num) if sign == "-" else _int_of_digits(num)
@@ -128,13 +135,16 @@ def _long_fraction(s: str):
 def _parse_scalar(entry, mode, where):
     re_s = entry.get("re", "0")
     im_s = entry.get("im", "0")
+    # JSON strings and numbers only; a boolean is an int to Python
+    if not {type(re_s), type(im_s)} <= {str, int, float}:
+        raise CliError(f"{where}: bad scalar (re and im must be strings or numbers)")
     try:
         if mode == "rational":
             x, y = _long_fraction(str(re_s)), _long_fraction(str(im_s))
             return normal_form(GaussianRational(x, y))
         x = float(re_s)
         y = float(im_s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise CliError(f"{where}: bad scalar ({exc})") from None
     if not (math.isfinite(x) and math.isfinite(y)):
         raise CliError(f"{where}: scalar must be finite")
@@ -151,9 +161,7 @@ def _exact_str(q) -> str:
 
 def _format_scalar(value, mode):
     if mode == "rational":
-        if isinstance(value, GaussianRational):
-            return _exact_str(value.re), _exact_str(value.im)
-        return _exact_str(value), "0"
+        return _exact_str(value.real), _exact_str(value.imag)
     c = to_complex(value)
     return repr(c.real), repr(c.imag)
 
@@ -311,7 +319,7 @@ def cmd_classify(args) -> int:
         want = "rational" if args.mode == "exact" else "float"
         if want != mode:
             raise CliError(f"mode: file is {mode}, requested {args.mode}")
-    if args.real and any(imag_part(v) for v in p.masks().values()):
+    if args.real and any(v.imag for v in p.masks().values()):
         raise CliError("real: state has nonreal amplitudes")
     report = build_report(p, mode, real=args.real)
     emit(report)
@@ -328,7 +336,7 @@ def cmd_canonical(args) -> int:
     params = ()
     if args.params:
         try:
-            params = tuple(Fraction(tok) for tok in args.params.split(","))
+            params = tuple(_long_fraction(tok) for tok in args.params.split(","))
         except ValueError as exc:
             raise CliError(f"params: {exc}") from None
         except ZeroDivisionError as exc:
@@ -349,11 +357,14 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_random(args) -> int:
+    import cmath
     from .oracle import random_invertible, random_state
     if args.slocc_of:
         p, mode = load_state(args.slocc_of)
         g = random_invertible(p.dim, args.seed)
         out = slocc_apply(g, p)
+        if mode == "float" and not all(map(cmath.isfinite, out.masks().values())):
+            raise CliError("slocc-of: a moved amplitude is beyond the double range")
     else:
         if args.dim is None:
             raise CliError("dim: required without --slocc-of")
@@ -369,10 +380,9 @@ def cmd_random(args) -> int:
     return 0
 
 
-def _load_psi(path, count, mode, labels, rule):
-    """{index tuple: amplitude} of at most ``count`` entries whose index
-    labels lie in ``labels``; ``rule`` states them in an error message."""
-    doc = _read_document(path)
+def _parse_psi(doc, count, mode, labels, rule):
+    """{index tuple: amplitude} of an embed document of at most ``count``
+    entries labelled from ``labels``; ``rule`` states them in an error."""
     if not isinstance(doc, dict):
         raise CliError("document: must be a JSON object")
     amps = doc.get("amplitudes")
@@ -399,11 +409,12 @@ def _load_psi(path, count, mode, labels, rule):
 def cmd_embed(args) -> int:
     mode = args.mode or "exact"
     mode = "rational" if mode == "exact" else "float"
+    doc = _read_document(args.input)
     if args.type == "qubit3":
-        psi = _load_psi(args.input, 8, mode, (0, 1), "qubit labels are 0/1")
+        psi = _parse_psi(doc, 8, mode, (0, 1), "qubit labels are 0/1")
         p = embed_three_qubits(psi)
     else:
-        psi = _load_psi(args.input, 27, mode, (1, 2, 3), "qutrit labels are 1..3")
+        psi = _parse_psi(doc, 27, mode, (1, 2, 3), "qutrit labels are 1..3")
         p = embed_three_qutrits(psi)
     doc = state_document(p, mode)
     if args.out:

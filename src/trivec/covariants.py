@@ -199,36 +199,28 @@ def _exact_sqrt(value):
     def frac_sqrt(q: Fraction):
         if q < 0:
             return None
-        num = _isqrt_exact(q.numerator)
-        den = _isqrt_exact(q.denominator)
-        if num is None or den is None:
+        num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+        if num * num != q.numerator or den * den != q.denominator:
             return None
         return Fraction(num, den)
 
-    def _isqrt_exact(n: int):
-        import math
-        r = math.isqrt(n)
-        return r if r * r == n else None
-
-    v = value if isinstance(value, GaussianRational) else GaussianRational(value)
-    if v.im == 0:
-        r = frac_sqrt(v.re)
+    x, y = value.real, value.imag
+    if y == 0:
+        r = frac_sqrt(x)
         if r is not None:
             return GaussianRational(r)
-        r = frac_sqrt(-v.re)
+        r = frac_sqrt(-x)
         if r is not None:
             return GaussianRational(0, r)
         return None
-    # sqrt(x + iy) = u + iw with u^2 - w^2 = x, 2uw = y; needs |v| square
-    norm = frac_sqrt(v.norm_sq())
+    # sqrt(x + iy) = u + iw with u^2 - w^2 = x, 2uw = y; needs x^2 + y^2 square
+    norm = frac_sqrt(x * x + y * y)
     if norm is None:
         return None
-    u2 = (v.re + norm) / 2
-    u = frac_sqrt(u2)
+    u = frac_sqrt((x + norm) / 2)
     if u is None or u == 0:
         return None
-    w = v.im / (2 * u)
-    return GaussianRational(u, w)
+    return GaussianRational(u, y / (2 * u))
 
 
 def freudenthal_dual(p: AltTensor) -> AltTensor:
@@ -510,7 +502,8 @@ def t_matrix_rows(p: AltTensor) -> list:
     Columns are indexed by sorted lower triples; the lower indices are
     antisymmetrized over the (pair, vector) argument slots so that matrix
     powers reproduce the trace invariants with their standard normalization.
-    Row/column order is the colex order of ``SubsetIndexer(9, 3)``.  For an
+    Rows and columns follow the lexicographic order of
+    ``itertools.combinations(range(1, 10), 3)``.  For an
     exact P, T = C . W is one packed product (:func:`_zmul`) of the
     quadratic W[m12][col], the weighted w12 sums of the column's argument
     slots, by the linear C[row][m12] = +-P[m3]; a float P adds T up term by
@@ -571,14 +564,6 @@ def t_matrix_rows(p: AltTensor) -> list:
         return tm[0]
     return [[normal_form(GaussianRational(*(quotient(v, den) for v in vs)))
              for vs in zip(*rows)] for rows in zip(*tm)]
-
-
-def t_map(p: AltTensor) -> ExtLinearMap:
-    """The 84 x 84 covariant endomorphism as an :class:`ExtLinearMap`."""
-    rows = SubsetIndexer(9, 3)
-    mat = t_matrix_rows(p)
-    return ExtLinearMap(9, (3,), 3, 1, rows,
-                        [(m,) for m in rows.masks], mat)
 
 
 def matmul(a, b):
@@ -719,9 +704,9 @@ def _integer_parts(tm):
         return (tm,), 1
     if kinds & {float, complex}:
         return None
-    re = [[x.re if type(x) is GaussianRational else x for x in row] for row in tm]
-    im = [[x.im if type(x) is GaussianRational else 0 for x in row] for row in tm]
-    parts = (re, im) if GaussianRational in kinds else (re,)
+    parts = [[[x.real for x in row] for row in tm]]
+    if GaussianRational in kinds:
+        parts.append([[x.imag for x in row] for row in tm])
     den = math.lcm(*{q.denominator for part in parts for row in part for q in row})
     return tuple([[q.numerator * (den // q.denominator) for q in row] for row in part]
                  for part in parts), den

@@ -33,8 +33,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .scalars import (GaussianRational, abs_sq, conjugate, imag_part, is_exact,
-                      normal_form, quotient, real_part, row_reduce, to_complex)
+from .scalars import (GaussianRational, abs_sq, is_exact, normal_form,
+                      quotient, row_reduce, to_complex)
 
 
 def mask_of(indices) -> int:
@@ -266,8 +266,7 @@ class AltTensor:
         """
         if self.mode != "exact":
             return 1, self
-        parts = [x for v in self._c.values()
-                 for x in ((v.re, v.im) if type(v) is GaussianRational else (v,))]
+        parts = [x for v in self._c.values() for x in (v.real, v.imag)]
         scale = normal_form(Fraction(math.lcm(*(x.denominator for x in parts)),
                                      math.gcd(*(x.numerator for x in parts))))
         if scale == 1:
@@ -327,7 +326,7 @@ class AltTensor:
 
     def conjugate(self):
         return AltTensor(self.dim, self.degree,
-                         {m: conjugate(v) for m, v in self._c.items()})
+                         {m: v.conjugate() for m, v in self._c.items()})
 
     def to_float(self) -> "AltTensor":
         return AltTensor(self.dim, self.degree,
@@ -726,7 +725,7 @@ def complex_basis_form(dim: int, labels) -> AltTensor:
 def _simplify_exact(t: AltTensor) -> AltTensor:
     """Divide out the powers of two that every coefficient part shares."""
     while not t.is_zero() and all(x % 2 == 0 for v in t._c.values()
-                                  for x in (real_part(v), imag_part(v))):
+                                  for x in (v.real, v.imag)):
         t = t.scale(Fraction(1, 2))
     return t
 

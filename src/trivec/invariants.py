@@ -27,15 +27,7 @@ from .covariants import (dual_trivector, eight_covariants, k_matrix_6,
                          seven_covariants, t_matrix_rows, t_power_traces,
                          trace_product)
 from .exterior import AltTensor
-from .scalars import DEFAULT_TOLERANCE, is_exact, quotient, to_complex
-
-
-def invariant_is_zero(value, state_scale: float, degree: int,
-                      eps: float = DEFAULT_TOLERANCE.zero_epsilon) -> bool:
-    """Zero test scaled by (max amplitude)^degree; exact when possible."""
-    if is_exact(value):
-        return not value
-    return abs(to_complex(value)) <= eps * max(state_scale, 1e-300) ** degree
+from .scalars import TolerancePolicy, quotient, to_complex, zero_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +169,9 @@ def nine_js_scaled(p: AltTensor):
             raise ArithmeticError("trace identities violated; construction bug")
     else:
         norm = max((abs(x) for row in tm for x in row), default=0.0)
+        eps = TolerancePolicy.TRACE_IDENTITY
         for n in (1, 2, 3):
-            if abs(traces[n]) > 1e-8 * max(norm, 1e-300) ** n * 84:
+            if abs(traces[n]) > zero_threshold(norm, n, eps) * 84:
                 raise ArithmeticError("trace identities violated beyond tolerance")
     js = tuple(quotient(sign * tr, den) for den, tr, sign in zip(
         _J_DENOMS, (traces[4], traces[6], traces[8], traces[10]), (1, -1, 1, -1)))

@@ -12,9 +12,10 @@ Exact scalars have one normal form, decided by :func:`normal_form` alone: an
 :class:`~trivec.exterior.AltTensor` stores its coefficients in it, and
 :func:`quotient`, the one exact division, returns it.
 
-Arithmetic between a :class:`GaussianRational` and a float or complex raises
-``TypeError``; callers that want to leave exact mode must convert explicitly
-with :func:`to_complex`.
+Every scalar answers Python's number protocol (``.real``, ``.imag``,
+``.conjugate()``).  Arithmetic between a :class:`GaussianRational` and a float
+or complex raises ``TypeError``; :func:`to_complex` stays the one explicit way
+out of exact mode.  Every float threshold lives in :class:`TolerancePolicy`.
 
 The matrix kernels operate on rectangular lists of row lists.  In exact mode
 rank and determinant use fraction-free (Bareiss) elimination, so results are
@@ -149,6 +150,10 @@ class GaussianRational:
             return str(self.re)
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
 
+    # the number protocol's names for the parts, read-only
+    real = property(operator.attrgetter("re"))
+    imag = property(operator.attrgetter("im"))
+
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 
@@ -199,14 +204,6 @@ def is_exact(x) -> bool:
     return isinstance(x, _ALL_EXACT_TYPES)
 
 
-def conjugate(x):
-    if isinstance(x, GaussianRational):
-        return x.conjugate()
-    if isinstance(x, complex):
-        return x.conjugate()
-    return x
-
-
 def abs_sq(x):
     """|x|^2, exact for exact scalars, float otherwise."""
     if isinstance(x, GaussianRational):
@@ -224,36 +221,34 @@ def to_complex(x) -> complex:
     return complex(x)
 
 
-def real_part(x):
-    if isinstance(x, GaussianRational):
-        return x.re
-    if isinstance(x, complex):
-        return x.real
-    return x
-
-
-def imag_part(x):
-    if isinstance(x, GaussianRational):
-        return x.im
-    if isinstance(x, complex):
-        return x.imag
-    return 0
-
-
 class TolerancePolicy:
-    """Float-mode thresholds; ignored entirely in exact mode.
+    """Every float threshold; exact mode reads none of them.
 
-    Rank counts the diagonal entries |R_kk| of a column-pivoted QR above
-    ``max(relative_rank_epsilon * |R_11|, absolute_floor, noise)``, where
-    the noise floor ``16 max(rows, cols) eps |R_11|`` bounds the backward
-    error of the factorization.  Zero tests on invariant values scale
-    ``zero_epsilon`` by the maximum input amplitude raised to the
-    invariant's homogeneous degree.  The classifiers apply every threshold
-    to the unit-scale representative of a float state
-    (``AltTensor.representative``), never to the state as given.
+    Three are fields.  Rank counts the diagonal entries |R_kk| of a
+    column-pivoted QR above
+    ``max(relative_rank_epsilon * |R_11|, absolute_floor, noise)``, where the
+    noise floor ``16 max(rows, cols) eps |R_11|`` bounds the backward error of
+    the factorization.  An invariant of degree d is zero when its modulus is
+    at most ``zero_threshold(scale, d, zero_epsilon)``, with ``scale`` the
+    largest amplitude modulus.  The classifiers apply every threshold to the
+    unit-scale representative of a float state (``AltTensor.representative``),
+    never to the state as given.  The others are fixed class constants.
     """
 
     __slots__ = ("relative_rank_epsilon", "absolute_floor", "zero_epsilon")
+
+    # each commented with the float it judges and, for the first six, the
+    # scale and degree at which it enters zero_threshold; the last three are
+    # compared as they stand, the Jacobi ones strictly
+    ROTATED_NOISE = 1e-10  # classify8's rotated amplitudes; largest, 1
+    SUPPORT = 1e-10  # natural-orbital amplitudes; largest, 1
+    COMPLEX_STRUCTURE = 1e-8  # J^2 + 1 with J = K / sqrt(-D); 1, 1
+    ANTISYMMETRY = 1e-20  # pfaffian's |m_ij + m_ji|^2; max |m_ij|^2, 1
+    HERMITIAN = 1e-10  # |h_ij - conj(h_ji)|; max |h_ij|, 1
+    TRACE_IDENTITY = 1e-8  # Tr T^n / 84 for n = 1, 2, 3; max |T_ij|, n
+    SATURATION = 1e-9  # polytope slacks, saturated (pinned) at most
+    JACOBI_CONVERGENCE = 1e-14  # Jacobi off-diagonal norm / Frobenius norm
+    JACOBI_PARTNER = 1e-8  # residual norm of a conjugate-partner eigenvector
 
     def __init__(self, relative_rank_epsilon: float = 1e-10,
                  absolute_floor: float = 1e-13, zero_epsilon: float = 1e-8):
@@ -269,6 +264,21 @@ class TolerancePolicy:
 
     def __delattr__(self, name):
         raise AttributeError("TolerancePolicy is immutable")
+
+
+def zero_threshold(scale: float, degree: int, eps: float) -> float:
+    """The one float zero rule: a quantity of homogeneous ``degree`` in
+    amplitudes of largest modulus ``scale`` counts as zero when its modulus
+    is at most ``eps * scale**degree``; a zero scale reads as 1e-300."""
+    return eps * max(scale, 1e-300) ** degree
+
+
+def invariant_is_zero(value, scale: float, degree: int, eps: float) -> bool:
+    """Whether ``value`` vanishes: exactly for an exact scalar, else by
+    :func:`zero_threshold`."""
+    if is_exact(value):
+        return not value
+    return abs(to_complex(value)) <= zero_threshold(scale, degree, eps)
 
 
 DEFAULT_TOLERANCE = TolerancePolicy()
@@ -591,7 +601,7 @@ def pfaffian(m):
             raise ValueError("matrix is not antisymmetric")
     else:
         scale = max((abs_sq(x) for row in m for x in row), default=0.0)
-        if defect > 1e-20 * max(scale, 1e-300):
+        if defect > zero_threshold(scale, 1, TolerancePolicy.ANTISYMMETRY):
             raise ValueError("matrix is not antisymmetric to tolerance")
     if nr == 0:
         return 1
@@ -618,7 +628,7 @@ def pfaffian(m):
     return rec(list(range(nr)))
 
 
-def _jacobi_sweeps(a, v, tol):
+def _jacobi_sweeps(a, v):
     """Cyclic Jacobi on a real symmetric matrix in place; v gathers rotations."""
     n = len(a)
     norm = math.sqrt(sum(a[i][j] * a[i][j] for i in range(n) for j in range(n)))
@@ -627,7 +637,7 @@ def _jacobi_sweeps(a, v, tol):
     for _ in range(60):
         off = math.sqrt(sum(a[i][j] * a[i][j]
                             for i in range(n) for j in range(n) if i != j))
-        if off < tol * norm:
+        if off < TolerancePolicy.JACOBI_CONVERGENCE * norm:
             return
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -681,12 +691,12 @@ def _check_hermitian(m):
     scale = max((abs(a[i][j]) for i in range(n) for j in range(n)), default=0.0)
     worst = max((abs(a[i][j] - a[j][i].conjugate())
                  for i in range(n) for j in range(n)), default=0.0)
-    if worst > 1e-10 * max(scale, 1e-300):
+    if worst > zero_threshold(scale, 1, TolerancePolicy.HERMITIAN):
         raise ValueError("matrix is not Hermitian to tolerance")
     return a, n
 
 
-def hermitian_eigenvalues(m, convergence: float = 1e-14) -> list:
+def hermitian_eigenvalues(m) -> list:
     """Ascending real eigenvalues of a Hermitian matrix.
 
     Exact inputs are converted to float first.  A complex Hermitian H = A+iB
@@ -698,15 +708,15 @@ def hermitian_eigenvalues(m, convergence: float = 1e-14) -> list:
         return []
     if all(x.imag == 0.0 for row in a for x in row):
         real = [[x.real for x in row] for row in a]
-        _jacobi_sweeps(real, None, convergence)
+        _jacobi_sweeps(real, None)
         return sorted(real[i][i] for i in range(n))
     big = _embed_hermitian(a)
-    _jacobi_sweeps(big, None, convergence)
+    _jacobi_sweeps(big, None)
     evs = sorted(big[i][i] for i in range(2 * n))
     return evs[::2]
 
 
-def hermitian_eigensystem(m, convergence: float = 1e-14):
+def hermitian_eigensystem(m):
     """(ascending eigenvalues, unitary whose columns are eigenvectors).
 
     For complex input the eigenvectors are recovered from the real
@@ -720,14 +730,14 @@ def hermitian_eigensystem(m, convergence: float = 1e-14):
     if all(x.imag == 0.0 for row in a for x in row):
         real = [[x.real for x in row] for row in a]
         v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-        _jacobi_sweeps(real, v, convergence)
+        _jacobi_sweeps(real, v)
         order = sorted(range(n), key=lambda i: real[i][i])
         vals = [real[i][i] for i in order]
         vecs = [[complex(v[r][i]) for i in order] for r in range(n)]
         return vals, vecs
     big = _embed_hermitian(a)
     v = [[1.0 if i == j else 0.0 for j in range(2 * n)] for i in range(2 * n)]
-    _jacobi_sweeps(big, v, convergence)
+    _jacobi_sweeps(big, v)
     order = sorted(range(2 * n), key=lambda i: big[i][i])
     vals, vecs = [], []
     for idx in order:
@@ -738,7 +748,7 @@ def hermitian_eigensystem(m, convergence: float = 1e-14):
             ip = sum(wc.conjugate() * cc for wc, cc in zip(w, cand))
             cand = [cc - ip * wc for cc, wc in zip(cand, w)]
         nrm = math.sqrt(sum(abs(c) ** 2 for c in cand))
-        if nrm < 1e-8:
+        if nrm < TolerancePolicy.JACOBI_PARTNER:
             continue  # conjugate partner of a vector already chosen
         vecs.append([c / nrm for c in cand])
         vals.append(big[idx][idx])

@@ -4,7 +4,7 @@ Occupation numbers are normalized to particle number (trace three) and
 reported in descending order: orbital one is the most occupied.  With that
 ordering the six-dimensional polytope boundary is lam4 <= lam5 + lam6 and
 the seven-dimensional one is the four sums of quadruples bounded by two.
-Saturation within 1e-9 counts as pinned.
+Saturation within ``TolerancePolicy.SATURATION`` counts as pinned.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ import itertools
 from fractions import Fraction
 
 from .exterior import AltTensor, GroupElement, contractions, slocc_apply
-from .scalars import (conjugate, hermitian_eigensystem, hermitian_eigenvalues,
-                      imag_part, is_exact, quotient, real_part, to_complex)
-
-SATURATION_EPS = 1e-9
-SUPPORT_EPS = 1e-10
+from .scalars import (TolerancePolicy, hermitian_eigensystem,
+                      hermitian_eigenvalues, is_exact, quotient, to_complex,
+                      zero_threshold)
 
 # index quadruples of the seven-mode constraints: each sum is bounded by two
 SEVEN_CONSTRAINTS = ((1, 2, 4, 7), (1, 2, 5, 6), (2, 3, 4, 5), (1, 3, 4, 6))
@@ -47,7 +45,7 @@ def one_matrix(p: AltTensor):
         entries = [(m.bit_length() - 1, v) for m, v in row.items()]
         for i, vi in entries:
             for j, vj in entries:
-                rho[i][j] = rho[i][j] + vi * conjugate(vj)
+                rho[i][j] = rho[i][j] + vi * vj.conjugate()
     # raw trace is 3 * norm_sq (each triple feeds three diagonal slots)
     return [[quotient(x, norm2) for x in row] for row in rho]
 
@@ -79,12 +77,13 @@ def occupation_spectrum(p: AltTensor, rho=None) -> OccupationSpectrum:
     return OccupationSpectrum(n, sorted(evs, reverse=True))
 
 
-def klyachko_check(spec: OccupationSpectrum, eps: float = SATURATION_EPS) -> list:
+def klyachko_check(spec: OccupationSpectrum) -> list:
     """Constraint report: list of dicts with name, slack and saturation flag.
 
     Slacks are nonnegative for occupation numbers of genuine states; a slack
-    within ``eps`` of zero counts as saturated (pinned).
+    within ``TolerancePolicy.SATURATION`` of zero counts as saturated (pinned).
     """
+    eps = TolerancePolicy.SATURATION
     lam = spec.eigenvalues
     out = []
     if spec.dimension == 6:
@@ -121,7 +120,7 @@ def _float_copy(p: AltTensor) -> AltTensor:
     if p.mode == "exact":
         e = max(abs(x.numerator).bit_length() - x.denominator.bit_length()
                 for v in p.masks().values()
-                for x in (real_part(v), imag_part(v)) if x)
+                for x in (v.real, v.imag) if x)
         p = p.scale(Fraction(1, 2 ** e) if e > 0 else 2 ** -e).to_float()
     return p.representative()[0]
 
@@ -150,12 +149,11 @@ def natural_orbital_transform(p: AltTensor, rho=None):
 
 
 def _support_pattern(rotated: AltTensor):
-    cut = SUPPORT_EPS * max(rotated.max_abs(), 1e-300)
+    cut = zero_threshold(rotated.max_abs(), 1, TolerancePolicy.SUPPORT)
     return {t for t, v in rotated.terms() if abs(to_complex(v)) > cut}
 
 
-def pinning_analysis(p: AltTensor, label: str, eps: float = SATURATION_EPS,
-                     rho=None) -> dict:
+def pinning_analysis(p: AltTensor, label: str, rho=None) -> dict:
     """Saturations, natural-orbital support pattern and class compatibility.
 
     ``label`` is the state's class label as the caller already computed it
@@ -169,7 +167,7 @@ def pinning_analysis(p: AltTensor, label: str, eps: float = SATURATION_EPS,
     if p.dim not in (6, 7):
         raise ValueError("pinning analysis covers dimensions 6 and 7")
     rotated, spectrum = natural_orbital_transform(p, rho)
-    constraints = klyachko_check(spectrum, eps)
+    constraints = klyachko_check(spectrum)
     support = _support_pattern(rotated)
 
     pattern = None

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -121,6 +122,90 @@ def test_classify_rejects_non_finite_float(tmp_path, capsys):
         assert "amplitudes[1]" in err
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("value", [None, [1], {"re": "1"}, True, False])
+def test_scalars_that_are_neither_strings_nor_numbers_exit_2(tmp_path, capsys,
+                                                             mode, value):
+    # in a float file too: no TypeError, and true is not read as 1.0
+    doc = ghz_doc()
+    doc["scalar_mode"] = mode
+    doc["amplitudes"][1]["re"] = value
+    state = write_state(tmp_path, "state.json", doc)
+    psi = write_state(tmp_path, "psi.json", {"amplitudes": [
+        {"indices": [0, 0, 0], "re": "1"}, {"indices": [1, 1, 1], "im": value}]})
+    embed_mode = "exact" if mode == "rational" else "float"
+    for argv in (("classify", "--input", state), ("rdm", "--input", state),
+                 ("random", "--slocc-of", state),
+                 ("embed", "--type", "qubit3", "--input", psi, "--mode", embed_mode)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: amplitudes[1]: bad scalar"), argv
+
+
+def test_scalars_may_be_json_numbers(tmp_path, capsys):
+    for mode, value in (("rational", 2), ("rational", 0.5), ("float", 2), ("float", 0.5)):
+        doc = ghz_doc()
+        doc["scalar_mode"] = mode
+        doc["amplitudes"][1]["re"] = value
+        code, out, _ = run_cli(capsys, "classify", "--input",
+                               write_state(tmp_path, "num.json", doc))
+        assert code == 0, (mode, value)
+        assert json.loads(out)["classification"]["label"] == "GHZ"
+    # a JSON integer past the double range is a bad float, not a traceback
+    doc["amplitudes"][1]["re"] = 10 ** 400
+    code, out, err = run_cli(capsys, "classify", "--input",
+                             write_state(tmp_path, "num.json", doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: amplitudes[1]: bad scalar")
+
+
+def test_huge_decimal_exponents_exit_2_at_once(tmp_path, capsys):
+    # Fraction("1e999999999") would build a billion-digit integer
+    doc = ghz_doc()
+    doc["amplitudes"][1]["re"] = "1e999999999"
+    state = write_state(tmp_path, "state.json", doc)
+    psi = write_state(tmp_path, "psi.json", {"amplitudes": [
+        {"indices": [0, 0, 0], "re": "1e-999999999"}]})
+    for argv, field in ((("classify", "--input", state), "amplitudes[1]: bad scalar"),
+                        (("embed", "--type", "qubit3", "--input", psi),
+                         "amplitudes[0]: bad scalar"),
+                        (("canonical", "--dim", "9", "--class", "family1",
+                          "--params", "1e999999999,2,4,8"), "params: ")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: " + field) and "4300" in err, argv
+    for text in ("1e4301", "-1E-4301", "1e+0_4301", "1e-" + "9" * 5000):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            trivec.cli._long_fraction(text)
+    # the bound itself is read
+    code, out, _ = run_cli(capsys, "canonical", "--dim", "9", "--class", "family1",
+                           "--params", "1e4300,2,4,8")
+    assert code == 0
+    assert json.loads(out)["amplitudes"][0]["re"] == "1" + "0" * 4300
+
+
+def test_random_slocc_of_never_writes_a_file_the_reader_refuses(tmp_path, capsys):
+    doc = ghz_doc()
+    doc["scalar_mode"] = "float"
+    doc["amplitudes"][0]["re"], doc["amplitudes"][1]["re"] = "1e308", "-1e308"
+    path = write_state(tmp_path, "big.json", doc)
+    refused = []
+    for seed in range(1, 10):
+        moved = str(tmp_path / "moved.json")
+        code, out, err = run_cli(capsys, "random", "--slocc-of", path,
+                                 "--seed", str(seed), "--out", moved)
+        if code == 2:
+            assert out == "" and err.startswith("error: slocc-of: "), seed
+            refused.append(seed)
+        else:
+            code, _, err = run_cli(capsys, "classify", "--input", moved)
+            assert code in (0, 3) and err == "", seed
+    # seed 5 moves an amplitude past the double range
+    assert 5 in refused
+
+
 def test_float_states_at_the_edges_of_the_double_range(tmp_path, capsys):
     for value in ("1e-300", "1e200"):
         doc = ghz_doc()
@@ -219,7 +304,8 @@ def test_fraction_strings_read_like_fraction():
     # Fraction's value, and its error type and text
     integers = ("0", "-0", "+17", "007", " 5 ", "5\n", "\uff15")
     for text in integers + ("-6/8", "+3/9", "\t-3/4 ", "1\u0663/\u0664", "1.5", "-2e3",
-                            ".5", "1_000", "7/" + "3" * 600):
+                            ".5", "1_000", "7/" + "3" * 600, "1e4300", "-2.5E-4300",
+                            "1e+04_300"):
         got = trivec.cli._long_fraction(text)
         assert got == Fraction(text), text
         assert type(got) is (int if text in integers else Fraction), text

@@ -8,7 +8,7 @@ import trivec.covariants
 from trivec.covariants import (bilinear_form_matrix, dual_trivector,
                                eight_covariants, first_order_map,
                                freudenthal_dual, k_matrix_6, kappa_map,
-                               matmul, packed_matmul, seven_covariants, t_map,
+                               matmul, packed_matmul, seven_covariants,
                                t_power_trace, t_power_traces, t_matrix_rows,
                                trace_product, _zmul)
 from trivec.exterior import (AltTensor, SubsetIndexer, canonical_state,
@@ -349,10 +349,9 @@ def test_eight_covariants_zero_state():
     assert rank(cov.fe_matrix) == 0
 
 
-def test_t_map_rank_and_odd_traces():
+def test_t_rank_and_odd_traces():
     q1 = nine_q(1)
-    tm = t_map(q1)
-    assert tm.rank() == 56
+    assert rank(t_matrix_rows(q1)) == 56
     tr = t_power_traces(t_matrix_rows(q1))
     assert tr[1] == 0 and tr[2] == 0 and tr[3] == 0
     assert t_power_trace(q1, 1) == 0
@@ -556,9 +555,9 @@ def test_t_power_traces_of_float_t_are_the_matmul_chain_bit_for_bit():
             [(type(want[n]), repr(want[n])) for n in want], name
 
 
-def test_t_map_family_one_rank():
+def test_t_family_one_rank():
     p = canonical_state(9, "family1", (1, 2, 4, 8))
-    assert t_map(p).rank() == 80
+    assert rank(t_matrix_rows(p)) == 80
 
 
 def test_covariant_ranks_invariant_under_group():

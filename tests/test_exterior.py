@@ -12,7 +12,7 @@ from trivec.exterior import (AltTensor, GroupElement, SubsetIndexer,
                              slocc_apply, split_seven, star,
                              symplectic_pairing, wedge)
 from trivec.oracle import random_invertible, random_state, random_unimodular
-from trivec.scalars import GaussianRational, imag_part, real_part
+from trivec.scalars import GaussianRational
 
 from test_scalars import is_normal
 
@@ -331,7 +331,7 @@ def test_integer_rescale_clears_denominators_by_their_lcm():
     assert q.masks() == {0b111: 10, 0b1011: GaussianRational(45, -6), 0b1101: 300}
     assert q == p.scale(60)
     assert all(type(x) is int for v in q.masks().values()
-               for x in (real_part(v), imag_part(v)))
+               for x in (v.real, v.imag))
     # integer, Gaussian-integer and float tensors come back as they are
     for r in (canonical_state(7, "X"), canonical_state(6, "GHZ"), p.to_float(),
               AltTensor.zero(6, 3)):
@@ -368,7 +368,7 @@ def test_contractions_equal_interior(dim):
 def test_integer_rescale_is_the_primitive_multiple():
     p = slocc_apply(random_invertible(7, 202), canonical_state(7, "X"))
     scale, q = p.integer_rescale()
-    parts = [x for v in q.masks().values() for x in (real_part(v), imag_part(v))]
+    parts = [x for v in q.masks().values() for x in (v.real, v.imag)]
     assert all(type(x) is int for x in parts)
     assert math.gcd(*parts) == 1
     assert q == p.scale(scale)

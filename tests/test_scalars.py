@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ from trivec.scalars import (GaussianRational, TolerancePolicy, _bareiss,
                             _content_free, _householder_diagonal,
                             _pivoted_qr_diagonal, determinant, float_rank,
                             hermitian_eigensystem, hermitian_eigenvalues,
-                            is_exact, normal_form, pfaffian, quotient, rank,
-                            row_reduce)
+                            invariant_is_zero, is_exact, normal_form,
+                            pfaffian, quotient, rank, row_reduce,
+                            zero_threshold)
 
 
 def test_gaussian_rational_basic_arithmetic():
@@ -25,6 +27,13 @@ def test_gaussian_rational_basic_arithmetic():
     assert a.conjugate().im == Fraction(3, 4)
     assert (a * a.conjugate()).re == a.norm_sq()
     assert GaussianRational(0, 1) ** 2 == -1
+    # every scalar answers the number protocol alike
+    for x, parts in ((a, (Fraction(1, 2), Fraction(-3, 4))), (3, (3, 0)),
+                     (Fraction(1, 3), (Fraction(1, 3), 0)), (1.5 - 2j, (1.5, -2.0))):
+        assert (x.real, x.imag) == parts
+        assert (x.conjugate().real, x.conjugate().imag) == (parts[0], -parts[1])
+    with pytest.raises(AttributeError):
+        a.real = 1
 
 
 def test_gaussian_rational_accepts_ints_and_fractions():
@@ -146,7 +155,20 @@ def test_tolerance_policy_is_immutable():
         del tol.absolute_floor
     with pytest.raises(AttributeError):
         tol.extra = 1
+    with pytest.raises(AttributeError):
+        tol.SATURATION = 1.0
     assert tol.zero_epsilon == 1e-6
+
+
+def test_the_one_zero_rule():
+    # the form of the literals it replaced, and their comparison direction
+    for scale in (0.0, 1e-310, 0.7, 3.0, math.inf):
+        for degree in (1, 4, 30):
+            assert zero_threshold(scale, degree, 1e-8) == 1e-8 * max(scale, 1e-300) ** degree
+    assert invariant_is_zero(0, 1.0, 4, 1e-8)
+    assert not invariant_is_zero(Fraction(1, 10 ** 40), 1.0, 4, 1e-8)
+    assert invariant_is_zero(1e-8 + 0j, 1.0, 1, 1e-8)
+    assert not invariant_is_zero(math.nan, 1.0, 1, 1e-8)
 
 
 def _brute_rank(m):

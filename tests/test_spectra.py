@@ -9,7 +9,7 @@ from trivec.exterior import AltTensor, canonical_state, slocc_apply
 from trivec.invariants import quartic_d
 from trivec.oracle import (random_complex_state, random_invertible,
                            random_rational_state)
-from trivec.scalars import GaussianRational, conjugate
+from trivec.scalars import GaussianRational
 from trivec.spectra import (SEVEN_CONSTRAINTS, klyachko_check,
                             natural_orbital_transform, occupation_spectrum,
                             one_matrix, pinning_analysis)
@@ -72,7 +72,7 @@ def test_exact_one_matrix_is_the_defining_sum():
         rho = one_matrix(p)
         for i in range(1, 8):
             for j in range(1, 8):
-                want = sum((p.component((i, a, b)) * conjugate(p.component((j, a, b)))
+                want = sum((p.component((i, a, b)) * p.component((j, a, b)).conjugate()
                             for a in range(1, 8) for b in range(a + 1, 8)), 0)
                 assert rho[i - 1][j - 1] == want / norm2
 
