@@ -27,8 +27,8 @@ from .exterior import (AltTensor, GroupElement, contractions, mask_of,
                        merge_sign, slocc_apply, tuple_of)
 from .invariants import (DELTA_DEGREES, J_DEGREES, dual_trivector, eight_i,
                          nine_deltas, nine_js_scaled, quartic_d, seven_j)
-from .scalars import (DEFAULT_TOLERANCE, TolerancePolicy, invariant_is_zero,
-                      rank, row_reduce, to_complex, zero_threshold)
+from .scalars import (TolerancePolicy, invariant_is_zero, rank, row_reduce,
+                      to_complex, zero_threshold)
 
 
 class ClassLabel:
@@ -124,11 +124,11 @@ def _on_representative(classifier):
     """Run ``classifier`` on ``p.representative()`` and take each invariant
     it returns back to ``p``; zero flags are decided on the representative."""
     @functools.wraps(classifier)
-    def run(p, tol: TolerancePolicy = DEFAULT_TOLERANCE):
+    def run(p):
         q, unscale = p.representative()
-        out = classifier(q, tol)
-        scale = q.max_abs()
-        out.zero = {name: invariant_is_zero(v, scale, deg, tol.zero_epsilon)
+        out = classifier(q)
+        scale, eps = q.max_abs(), TolerancePolicy.ZERO_EPSILON
+        out.zero = {name: invariant_is_zero(v, scale, deg, eps)
                     for name, (v, deg) in out.invariants.items()}
         out.invariants = {name: (unscale(v, deg), deg)
                           for name, (v, deg) in out.invariants.items()}
@@ -205,11 +205,11 @@ def leclerc_residuals(p: AltTensor):
     return res
 
 
-def is_separable(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
+def is_separable(p: AltTensor) -> bool:
     if p.is_zero():
         return True
-    scale = p.max_abs()
-    return all(invariant_is_zero(v, scale, 2, tol.zero_epsilon)
+    scale, eps = p.max_abs(), TolerancePolicy.ZERO_EPSILON
+    return all(invariant_is_zero(v, scale, 2, eps)
                for _, v in plucker_residuals(p))
 
 
@@ -217,15 +217,15 @@ def is_separable(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool
 # six dimensions
 
 
-def rank_triple_6(p: AltTensor, tol=DEFAULT_TOLERANCE, k=None):
+def rank_triple_6(p: AltTensor, k=None):
     """``k`` may pass ``k_matrix_6(p)`` when the caller already has it."""
-    return (first_order_map(p, 2).rank(tol),
-            (k_matrix_6(p) if k is None else k).rank(tol),
-            kappa_map(p, (2,)).rank(tol))
+    return (first_order_map(p, 2).rank(),
+            (k_matrix_6(p) if k is None else k).rank(),
+            kappa_map(p, (2,)).rank())
 
 
 @_on_representative
-def classify6(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:
+def classify6(p: AltTensor) -> ClassLabel:
     """Invariant decision chain for six dimensions, table cross-validated.
 
     Chain: nonzero quartic invariant is the generic class; else a nonzero
@@ -235,7 +235,7 @@ def classify6(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
     """
     _check(p, 6)
     scale = p.max_abs()
-    eps = tol.zero_epsilon
+    eps = TolerancePolicy.ZERO_EPSILON
     k = k_matrix_6(p)
     d = quartic_d(p, k=k)
     if not invariant_is_zero(d, scale, 4, eps):
@@ -243,13 +243,13 @@ def classify6(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
     elif not all(invariant_is_zero(v, scale, 3, eps)
                  for v in dual_trivector(p, k).masks().values()):
         chain = "W"
-    elif not is_separable(p, tol):
+    elif not is_separable(p):
         chain = "Bisep"
     elif not p.is_zero():
         chain = "Sep"
     else:
         chain = "Null"
-    triple = rank_triple_6(p, tol, k)
+    triple = rank_triple_6(p, k)
     table = TABLE1.get(triple)
     detail = {"rank_triple": triple}
     if p.mode == "float":  # for the real split, which reads this representative
@@ -262,7 +262,7 @@ def classify6(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
 
 
 @_on_representative
-def classify6_real(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:
+def classify6_real(p: AltTensor) -> ClassLabel:
     """Real classification: the generic class splits by the sign of D.
 
     Requires every amplitude real.  For negative D in float mode the
@@ -274,7 +274,7 @@ def classify6_real(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Cl
     for v in p.masks().values():
         if v.imag:
             raise ValueError("classify6_real requires real amplitudes")
-    out = classify6(p, tol)
+    out = classify6(p)
     if out.label != "GHZ":
         return out
     dr = out.invariants["quartic_d"][0].real
@@ -283,7 +283,8 @@ def classify6_real(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Cl
         k = out.detail["k_matrix"]
         s = (-dr) ** 0.5
         j = [[to_complex(x) / s for x in row] for row in k]
-        cut = zero_threshold(1.0, 1, tol.COMPLEX_STRUCTURE)  # J has unit scale
+        # J has unit scale
+        cut = zero_threshold(1.0, 1, TolerancePolicy.COMPLEX_STRUCTURE)
         for i in range(6):
             for jj in range(6):
                 want = -1.0 if i == jj else 0.0
@@ -298,21 +299,20 @@ def classify6_real(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Cl
 # seven dimensions
 
 
-def rank_triple_7(p: AltTensor, tol=DEFAULT_TOLERANCE, cov=None):
+def rank_triple_7(p: AltTensor, cov=None):
     """``cov`` may pass ``seven_covariants(p)`` when the caller already has it."""
     if cov is None:
         cov = seven_covariants(p)
-    return (rank(cov.n_matrix, tol),
-            first_order_map(p, 2).rank(tol),
-            cov.m_map.rank(tol))
+    return (rank(cov.n_matrix), first_order_map(p, 2).rank(),
+            cov.m_map.rank())
 
 
 @_on_representative
-def classify7(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:
+def classify7(p: AltTensor) -> ClassLabel:
     """Rank-triple lookup; the ten signatures are pairwise distinct."""
     _check(p, 7)
     cov = seven_covariants(p)
-    triple = rank_triple_7(p, tol, cov)
+    triple = rank_triple_7(p, cov)
     label = TABLE2.get(triple, "Unclassified")
     detail = {"rank_triple": triple} if label == "Unclassified" else {}
     return ClassLabel(7, label, triple, detail, {"seven_j": (seven_j(p, cov), 7)})
@@ -322,7 +322,7 @@ def classify7(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
 # eight dimensions
 
 
-def support_reduction(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE):
+def support_reduction(p: AltTensor):
     """(group element, support rank): rotate the state onto leading indices.
 
     The kernel of v -> i_v P is complemented by pivot coordinates of the
@@ -334,7 +334,7 @@ def support_reduction(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE):
     pairs = contractions(p, 2)
     rows = [[pairs.get(mask_of(ab), {}).get(1 << i, 0) for i in range(n)]
             for ab in itertools.combinations(range(1, n + 1), 2)]
-    m, piv_cols, _ = row_reduce(rows, tol.absolute_floor)
+    m, piv_cols, _ = row_reduce(rows, TolerancePolicy.ABSOLUTE_FLOOR)
     free = [c for c in range(n) if c not in piv_cols]
     kernel = []
     for fc in free:
@@ -356,7 +356,7 @@ def support_reduction(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE):
 
 
 @_on_representative
-def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:
+def classify8(p: AltTensor) -> ClassLabel:
     """Quadruple lookup, delegating to lower tables on reduced support.
 
     States supported on at most seven independent directions are rotated
@@ -365,7 +365,7 @@ def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
     Delegated states still report I = Tr(GH) of the eight-mode state.
     """
     _check(p, 8)
-    g, support = support_reduction(p, tol)
+    g, support = support_reduction(p)
     if support <= 7:
         invariants = {"eight_i": (eight_i(p), 16)}
         rotated = slocc_apply(g, p)
@@ -373,7 +373,7 @@ def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
         keep = {}
         scale = rotated.max_abs() if p.mode == "float" else 0.0
         for m, v in rotated.masks().items():
-            if invariant_is_zero(v, scale, 1, tol.ROTATED_NOISE):
+            if invariant_is_zero(v, scale, 1, TolerancePolicy.ROTATED_NOISE):
                 continue
             if m >= 1 << sub_dim:
                 return ClassLabel(8, "Unclassified", (support,),
@@ -381,7 +381,7 @@ def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
                                   invariants)
             keep[m] = v
         sub = AltTensor(sub_dim, 3, keep)
-        out = classify6(sub, tol) if sub_dim == 6 else classify7(sub, tol)
+        out = classify6(sub) if sub_dim == 6 else classify7(sub)
         detail = dict(out.detail)
         detail["delegated_to"] = sub_dim
         detail["support_rank"] = support
@@ -389,8 +389,8 @@ def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
             detail["roman_equivalent"] = _SIX_TO_ROMAN[out.label]
         return ClassLabel(8, out.label, out.signature, detail, invariants)
     cov = eight_covariants(p)
-    quad = (rank(cov.g_matrix, tol), cov.f_map.rank(tol),
-            cov.e_map.rank(tol), rank(cov.fe_matrix, tol))
+    quad = (rank(cov.g_matrix), cov.f_map.rank(), cov.e_map.rank(),
+            rank(cov.fe_matrix))
     label = TABLE3.get(quad, "Unclassified")
     detail = {"rank_quadruple": quad} if label == "Unclassified" else {}
     return ClassLabel(8, label, quad, detail, {"eight_i": (eight_i(p, cov), 16)})
@@ -401,8 +401,7 @@ def classify8(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLa
 
 
 @_on_representative
-def classify9_family(p: AltTensor,
-                     tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassLabel:
+def classify9_family(p: AltTensor) -> ClassLabel:
     """Family assignment from the vanishing pattern of the discriminants.
 
     All four trace invariants zero means the nilpotent family; otherwise the
@@ -412,10 +411,10 @@ def classify9_family(p: AltTensor,
     """
     _check(p, 9)
     scale = p.max_abs()
-    eps = tol.zero_epsilon
+    eps = TolerancePolicy.ZERO_EPSILON
     js, _, tm = nine_js_scaled(p)
     invariants = dict(zip(("J12", "J18", "J24", "J30"), zip(js, J_DEGREES)))
-    detail = {"rank_T": rank(tm, tol)}
+    detail = {"rank_T": rank(tm)}
     if all(invariant_is_zero(j, scale, deg, eps) for j, deg in zip(js, J_DEGREES)):
         return ClassLabel(9, "family7", (True,) * 4, detail, invariants)
     deltas = nine_deltas(js)
@@ -429,15 +428,14 @@ def classify9_family(p: AltTensor,
     return ClassLabel(9, label, pattern, detail, invariants)
 
 
-def classify(p: AltTensor, tol: TolerancePolicy = DEFAULT_TOLERANCE,
-             real_mode: bool = False) -> ClassLabel:
+def classify(p: AltTensor, real_mode: bool = False) -> ClassLabel:
     """Dispatch on dimension; ``real_mode`` selects the real six-dim split."""
     if p.dim == 6:
-        return classify6_real(p, tol) if real_mode else classify6(p, tol)
+        return classify6_real(p) if real_mode else classify6(p)
     if p.dim == 7:
-        return classify7(p, tol)
+        return classify7(p)
     if p.dim == 8:
-        return classify8(p, tol)
+        return classify8(p)
     if p.dim == 9:
-        return classify9_family(p, tol)
+        return classify9_family(p)
     raise ValueError("classification covers dimensions 6..9")

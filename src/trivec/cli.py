@@ -170,12 +170,14 @@ def parse_state(doc) -> tuple:
     """(AltTensor, mode) from a state-file dict; raises CliError on bad input."""
     if not isinstance(doc, dict):
         raise CliError("document: must be a JSON object")
-    if doc.get("format") != FORMAT_VERSION:
+    # an integer field is a JSON integer: true and 1.0 compare equal to 1
+    fmt, degree = doc.get("format"), doc.get("degree")
+    if type(fmt) is not int or fmt != FORMAT_VERSION:
         raise CliError("format: expected version 1")
     dim = doc.get("dimension")
     if not isinstance(dim, int) or not 6 <= dim <= 9:
         raise CliError("dimension: must be an integer in 6..9")
-    if doc.get("degree") != 3:
+    if type(degree) is not int or degree != 3:
         raise CliError("degree: must be 3")
     mode = doc.get("scalar_mode")
     if mode not in ("rational", "float"):
@@ -241,6 +243,20 @@ def emit(doc, stream=None):
     stream = stream or sys.stdout
     json.dump(doc, stream, sort_keys=True, indent=2)
     stream.write("\n")
+
+
+def _emit_to(doc, path):
+    """:func:`emit` ``doc`` into the file ``path``, or to stdout without
+    one; a file that cannot be written is a :class:`CliError` naming
+    ``out``."""
+    if not path:
+        emit(doc)
+        return
+    try:
+        with open(path, "w") as fh:
+            emit(doc, fh)
+    except OSError as exc:
+        raise CliError(f"out: cannot write {path} ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +363,7 @@ def cmd_canonical(args) -> int:
         raise CliError(f"class: {exc.args[0]}") from None
     except ValueError as exc:
         raise CliError(f"params: {exc}") from None
-    doc = state_document(p, "rational")
-    if args.out:
-        with open(args.out, "w") as fh:
-            emit(doc, fh)
-    else:
-        emit(doc)
+    _emit_to(state_document(p, "rational"), args.out)
     return 0
 
 
@@ -371,12 +382,7 @@ def cmd_random(args) -> int:
         _check_dim(args.dim)
         out = random_state(args.dim, args.seed)
         mode = "rational"
-    doc = state_document(out, mode)
-    if args.out:
-        with open(args.out, "w") as fh:
-            emit(doc, fh)
-    else:
-        emit(doc)
+    _emit_to(state_document(out, mode), args.out)
     return 0
 
 
@@ -418,8 +424,7 @@ def cmd_embed(args) -> int:
         p = embed_three_qutrits(psi)
     doc = state_document(p, mode)
     if args.out:
-        with open(args.out, "w") as fh:
-            emit(doc, fh)
+        _emit_to(doc, args.out)
     report = {"embedded": doc if not args.out else {"written_to": args.out},
               "classification": None}
     label = classify(p)

@@ -27,8 +27,7 @@ from fractions import Fraction
 
 from .exterior import (AltTensor, SubsetIndexer, contractions, mask_of,
                        merge_sign, submasks, tuple_of, wedge_terms)
-from .scalars import (DEFAULT_TOLERANCE, GaussianRational, TolerancePolicy,
-                      normal_form, quotient, rank as matrix_rank)
+from .scalars import GaussianRational, normal_form, quotient, rank as matrix_rank
 
 
 class ExtLinearMap:
@@ -54,8 +53,8 @@ class ExtLinearMap:
         self.col_keys = col_keys
         self.matrix = matrix
 
-    def rank(self, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
-        return matrix_rank(self.matrix, tol)
+    def rank(self) -> int:
+        return matrix_rank(self.matrix)
 
 
 def first_order_map(p: AltTensor, l: int) -> ExtLinearMap:

@@ -902,21 +902,25 @@ def canonical_state(dim: int, label: str, params=()) -> AltTensor:
 
     Labels: dim 6 uses Null/Sep/Bisep/W/GHZ plus GHZ+/GHZ- for the real
     split; dim 7 uses I..X; dim 8 uses XI..XXIII; dim 9 uses family1..family7
-    with that family's parameters.
+    with that family's parameters; a label below nine takes none.
     """
-    if dim == 6:
-        return _table1(label)
-    if dim == 7:
-        return _simplify_exact(_table2(label))
-    if dim == 8:
-        try:
-            coeffs = TABLE3_COEFFS[label]
-        except KeyError:
-            raise KeyError(f"unknown eight-dimensional class {label!r}") from None
-        return lambda_state(coeffs)
     if dim == 9:
         family = {f"family{f}": f for f in FAMILY_PARAM_COUNT}.get(label.lower())
         if family is None:
             raise KeyError(f"unknown nine-dimensional label {label!r}")
         return family_state(family, params)
-    raise ValueError("canonical states exist for dimensions 6..9")
+    if dim == 6:
+        p = _table1(label)
+    elif dim == 7:
+        p = _simplify_exact(_table2(label))
+    elif dim == 8:
+        try:
+            coeffs = TABLE3_COEFFS[label]
+        except KeyError:
+            raise KeyError(f"unknown eight-dimensional class {label!r}") from None
+        p = lambda_state(coeffs)
+    else:
+        raise ValueError("canonical states exist for dimensions 6..9")
+    if params:
+        raise ValueError(f"no {dim}-mode class takes parameters")
+    return p

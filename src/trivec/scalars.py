@@ -15,7 +15,9 @@ Exact scalars have one normal form, decided by :func:`normal_form` alone: an
 Every scalar answers Python's number protocol (``.real``, ``.imag``,
 ``.conjugate()``).  Arithmetic between a :class:`GaussianRational` and a float
 or complex raises ``TypeError``; :func:`to_complex` stays the one explicit way
-out of exact mode.  Every float threshold lives in :class:`TolerancePolicy`.
+out of exact mode.  Every float threshold is a class constant of
+:class:`TolerancePolicy`, which the classifiers and :func:`rank` read when
+they run; they take the state or matrix alone.
 
 The matrix kernels operate on rectangular lists of row lists.  In exact mode
 rank and determinant use fraction-free (Bareiss) elimination, so results are
@@ -23,7 +25,7 @@ bit-exact; rank first divides the row and column gcds out of a matrix of
 (Gaussian) integers.  Every other elimination (inverses, kernels, float
 determinants) is the one Gauss-Jordan kernel :func:`row_reduce`.  In float
 mode rank counts the diagonal of a Householder QR with column pivoting,
-taken directly on the complex entries, against a :class:`TolerancePolicy`;
+taken directly on the complex entries, against :class:`TolerancePolicy`;
 Hermitian eigenvalues come from cyclic Jacobi sweeps.
 """
 
@@ -222,24 +224,24 @@ def to_complex(x) -> complex:
 
 
 class TolerancePolicy:
-    """Every float threshold; exact mode reads none of them.
+    """Every float threshold, as a class constant; exact mode reads none.
 
-    Three are fields.  Rank counts the diagonal entries |R_kk| of a
-    column-pivoted QR above
-    ``max(relative_rank_epsilon * |R_11|, absolute_floor, noise)``, where the
+    Rank counts the diagonal entries |R_kk| of a column-pivoted QR above
+    ``max(RELATIVE_RANK_EPSILON * |R_11|, ABSOLUTE_FLOOR, noise)``, where the
     noise floor ``16 max(rows, cols) eps |R_11|`` bounds the backward error of
     the factorization.  An invariant of degree d is zero when its modulus is
-    at most ``zero_threshold(scale, d, zero_epsilon)``, with ``scale`` the
+    at most ``zero_threshold(scale, d, ZERO_EPSILON)``, with ``scale`` the
     largest amplitude modulus.  The classifiers apply every threshold to the
     unit-scale representative of a float state (``AltTensor.representative``),
-    never to the state as given.  The others are fixed class constants.
+    never to the state as given.  Each site reads its constant when it runs.
     """
 
-    __slots__ = ("relative_rank_epsilon", "absolute_floor", "zero_epsilon")
-
-    # each commented with the float it judges and, for the first six, the
-    # scale and degree at which it enters zero_threshold; the last three are
-    # compared as they stand, the Jacobi ones strictly
+    # each commented with the float it judges and, for those that enter
+    # zero_threshold, the scale and degree; the rank pair and the last three
+    # are compared as they stand, the Jacobi ones strictly
+    RELATIVE_RANK_EPSILON = 1e-10  # pivoted-QR |R_kk| / |R_11|
+    ABSOLUTE_FLOOR = 1e-13  # pivoted-QR |R_kk|; support_reduction's pivots
+    ZERO_EPSILON = 1e-8  # classifier invariants; largest amplitude, degree
     ROTATED_NOISE = 1e-10  # classify8's rotated amplitudes; largest, 1
     SUPPORT = 1e-10  # natural-orbital amplitudes; largest, 1
     COMPLEX_STRUCTURE = 1e-8  # J^2 + 1 with J = K / sqrt(-D); 1, 1
@@ -249,21 +251,6 @@ class TolerancePolicy:
     SATURATION = 1e-9  # polytope slacks, saturated (pinned) at most
     JACOBI_CONVERGENCE = 1e-14  # Jacobi off-diagonal norm / Frobenius norm
     JACOBI_PARTNER = 1e-8  # residual norm of a conjugate-partner eigenvector
-
-    def __init__(self, relative_rank_epsilon: float = 1e-10,
-                 absolute_floor: float = 1e-13, zero_epsilon: float = 1e-8):
-        if relative_rank_epsilon <= 0 or absolute_floor <= 0:
-            raise ValueError("tolerances must be strictly positive")
-        init = object.__setattr__
-        init(self, "relative_rank_epsilon", relative_rank_epsilon)
-        init(self, "absolute_floor", absolute_floor)
-        init(self, "zero_epsilon", zero_epsilon)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TolerancePolicy is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("TolerancePolicy is immutable")
 
 
 def zero_threshold(scale: float, degree: int, eps: float) -> float:
@@ -279,9 +266,6 @@ def invariant_is_zero(value, scale: float, degree: int, eps: float) -> bool:
     if is_exact(value):
         return not value
     return abs(to_complex(value)) <= zero_threshold(scale, degree, eps)
-
-
-DEFAULT_TOLERANCE = TolerancePolicy()
 
 
 def _check_rect(m):
@@ -482,11 +466,11 @@ def _householder_diagonal(cols, real):
     return diag
 
 
-def float_rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCE):
+def float_rank(m):
     """(rank, smallest kept |R_kk|/|R_11|, largest dropped |R_kk|/|R_11|).
 
     The rank counts the pivoted-QR diagonal entries above
-    ``max(relative_rank_epsilon |R_11|, absolute_floor, noise floor)``; the
+    ``max(RELATIVE_RANK_EPSILON |R_11|, ABSOLUTE_FLOOR, noise floor)``; the
     two ratios say how close that decision was (0.0 where nothing is kept or
     nothing is dropped).
     """
@@ -494,7 +478,8 @@ def float_rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCE):
     smax = max(diag, default=0.0)
     if smax == 0.0:
         return 0, 0.0, 0.0
-    cut = max(tol.relative_rank_epsilon * smax, tol.absolute_floor, noise)
+    cut = max(TolerancePolicy.RELATIVE_RANK_EPSILON * smax,
+              TolerancePolicy.ABSOLUTE_FLOOR, noise)
     kept = [d for d in diag if d > cut]
     dropped = [d for d in diag if d <= cut]
     return (len(kept), min(kept, default=0.0) / smax,
@@ -524,7 +509,7 @@ def _content_free(m, gaussian):
     return [[divided(x, g) for x, g in zip(row, gcds)] for row in m]
 
 
-def rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
+def rank(m) -> int:
     """Rank of a rectangular matrix, exact or tolerance-based.
 
     One scan over the entries picks the route.  A matrix of integral
@@ -548,7 +533,7 @@ def rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
                 gaussian = True
                 continue
             if not is_exact(x):
-                return float_rank(m, tol)[0]
+                return float_rank(m)[0]
             integral = False
     if integral:
         m = _content_free(m, gaussian)

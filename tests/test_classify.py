@@ -335,22 +335,24 @@ def test_classify9_builds_t_once(monkeypatch):
 
 
 
-def test_zero_epsilon_of_the_policy_is_honored():
-    loose = TolerancePolicy(zero_epsilon=1e3)
+def test_zero_epsilon_of_the_policy_is_honored(monkeypatch):
     ghz = canonical_state(6, "GHZ").to_float()
+    bisep = canonical_state(6, "Bisep").to_float()
+    f1 = canonical_state(9, "family1", (1, 2, 4, 8)).to_float()
     assert classify6(ghz).label == "GHZ"
-    out = classify6(ghz, loose)
+    assert not is_separable(bisep)
+    assert classify9_family(f1).label == "family1"
+    monkeypatch.setattr(TolerancePolicy, "ZERO_EPSILON", 1e3)
+    out = classify6(ghz)
     # D, the dual trivector and every Pluecker residual read zero, so the
     # chain says Sep while the rank triple still says GHZ
     assert out.label == "Unclassified"
     assert out.detail["chain_label"] == "Sep"
-    bisep = canonical_state(6, "Bisep").to_float()
-    assert not is_separable(bisep)
-    assert is_separable(bisep, loose)
-    f1 = canonical_state(9, "family1", (1, 2, 4, 8)).to_float()
-    assert classify9_family(f1).label == "family1"
-    out = classify9_family(f1, TolerancePolicy(zero_epsilon=1e12))
-    assert out.label == "family7"
+    assert out.detail["table_label"] == "GHZ"
+    assert is_separable(bisep)
+    monkeypatch.setattr(TolerancePolicy, "ZERO_EPSILON", 1e12)
+    assert classify9_family(f1).label == "family7"
+
 
 def test_classify9_generic_qutrit_lands_in_family2():
     rng = random.Random(61)

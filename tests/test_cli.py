@@ -122,6 +122,20 @@ def test_classify_rejects_non_finite_float(tmp_path, capsys):
         assert "amplitudes[1]" in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("format", True), ("format", 1.0), ("format", "1"),
+    ("degree", 3.0), ("degree", "3")])
+def test_format_and_degree_must_be_json_integers(tmp_path, capsys, field,
+                                                 value):
+    # true, 1.0 and 3.0 compare equal to the integers they stand for
+    doc = ghz_doc()
+    doc[field] = value
+    path = write_state(tmp_path, "fields.json", doc)
+    code, out, err = run_cli(capsys, "classify", "--input", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field}: "), err
+
+
 @pytest.mark.parametrize("mode", ["rational", "float"])
 @pytest.mark.parametrize("value", [None, [1], {"re": "1"}, True, False])
 def test_scalars_that_are_neither_strings_nor_numbers_exit_2(tmp_path, capsys,
@@ -381,6 +395,61 @@ def test_canonical_bad_family_label_names_class(capsys, label):
                              label, "--params", "1")
     assert (code, out) == (2, "")
     assert err.startswith("error: class: unknown nine-dimensional label"), err
+
+
+@pytest.mark.parametrize("dim,label,params", [
+    ("6", "GHZ", "1,2"), ("7", "X", "1"), ("8", "XV", "7")])
+def test_canonical_params_below_nine_modes_name_params(tmp_path, capsys, dim,
+                                                       label, params):
+    # no class below nine modes has parameters; they were dropped unread
+    path = tmp_path / "state.json"
+    code, out, err = run_cli(capsys, "canonical", "--dim", dim, "--class",
+                             label, "--params", params, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: params: "), err
+    assert not path.exists()
+
+
+def test_canonical_bad_label_below_nine_modes_names_class(capsys):
+    code, out, err = run_cli(capsys, "canonical", "--dim", "8", "--class",
+                             "XXIV", "--params", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: class: "), err
+
+
+@pytest.mark.parametrize("command", ["canonical", "random", "embed"])
+def test_an_out_file_that_cannot_be_written_names_out(tmp_path, capsys,
+                                                      command):
+    psi = write_state(tmp_path, "psi.json", {"amplitudes": [
+        {"indices": [0, 0, 0], "re": "1"}, {"indices": [1, 1, 1], "re": "1"}]})
+    argv = {"canonical": ["--dim", "6", "--class", "GHZ"],
+            "random": ["--dim", "6"],
+            "embed": ["--type", "qubit3", "--input", psi]}[command]
+    code, out, err = run_cli(capsys, command, *argv, "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out: cannot write "), err
+
+
+@pytest.mark.parametrize("command", ["canonical", "random", "embed"])
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys, command):
+    psi = write_state(tmp_path, "psi.json", {"amplitudes": [
+        {"indices": [0, 0, 0], "re": "1"}, {"indices": [1, 1, 1], "re": "1"}]})
+    argv = {"canonical": ["canonical", "--dim", "9", "--class", "family1",
+                          "--params", "1,2,4,8"],
+            "random": ["random", "--dim", "7", "--seed", "3"],
+            "embed": ["embed", "--type", "qubit3", "--input", psi]}[command]
+    code, shown, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0
+    if command == "embed":
+        shown = json.dumps(json.loads(shown)["embedded"], sort_keys=True,
+                           indent=2) + "\n"
+        assert json.loads(out)["embedded"] == {"written_to": str(path)}
+    else:
+        assert out == ""
+    assert path.read_text() == shown
 
 
 @pytest.mark.parametrize("command", ["canonical", "random"])

@@ -138,28 +138,6 @@ def test_gaussian_equality_hash_and_str_do_not_see_the_part_type():
     assert {GaussianRational(Fraction(5)): 1}[5] == 1
 
 
-def test_tolerance_policy_validation():
-    with pytest.raises(ValueError):
-        TolerancePolicy(relative_rank_epsilon=0.0)
-    with pytest.raises(ValueError):
-        TolerancePolicy(absolute_floor=-1.0)
-
-
-def test_tolerance_policy_is_immutable():
-    tol = TolerancePolicy(zero_epsilon=1e-6)
-    assert (tol.relative_rank_epsilon, tol.absolute_floor, tol.zero_epsilon) == \
-        (1e-10, 1e-13, 1e-6)
-    with pytest.raises(AttributeError):
-        tol.zero_epsilon = 1.0
-    with pytest.raises(AttributeError):
-        del tol.absolute_floor
-    with pytest.raises(AttributeError):
-        tol.extra = 1
-    with pytest.raises(AttributeError):
-        tol.SATURATION = 1.0
-    assert tol.zero_epsilon == 1e-6
-
-
 def test_the_one_zero_rule():
     # the form of the literals it replaced, and their comparison direction
     for scale in (0.0, 1e-310, 0.7, 3.0, math.inf):
@@ -285,6 +263,15 @@ def test_float_rank_resolves_below_sqrt_eps():
     r, kept, dropped = float_rank(m)
     # |R_11| is the larger column norm 0.8 and |R_22| = det / |R_11|
     assert r == 2 and kept == pytest.approx(1e-9 / 0.64) and dropped == 0.0
+
+
+def test_float_rank_reads_the_policy_when_it_runs(monkeypatch):
+    m = [[1.0, 0.0], [0.0, 1e-9]]
+    assert rank(m) == 2
+    monkeypatch.setattr(TolerancePolicy, "RELATIVE_RANK_EPSILON", 1e-8)
+    assert rank(m) == 1
+    monkeypatch.setattr(TolerancePolicy, "ABSOLUTE_FLOOR", 2.0)
+    assert float_rank(m) == (0, 0.0, 1.0)
 
 
 def test_float_rank_margins():
