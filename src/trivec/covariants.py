@@ -11,6 +11,10 @@ antisymmetric block absorbs one factorial), so numeric anchors like the
 diagonal GHZ matrix or N_77 = 6 Pf(omega) come out on the nose.  The
 brute-force oracle validates this reduction.
 
+Float sums add their terms in the order of the defining formula; on an
+int state, the seven- and eight-mode kappa maps (1,) and (1, 1), L, G, H
+and FE are the regrouped products of :mod:`trivec.packed_covariants`.
+
 Covariance bookkeeping: a map built with one star picks up one power of
 det(g') under the group action, recorded as ``det_weight``.
 """
@@ -88,6 +92,12 @@ def kappa_map(p: AltTensor, degrees) -> ExtLinearMap:
     if not all(0 <= l <= k for l in degrees) or not 0 <= n - out_deg <= n:
         raise ValueError("covariant degree constraint violated")
     rows = SubsetIndexer(n, out_deg)
+    if n in (7, 8) and degrees in ((1,), (1, 1)) and _all_int(p):
+        from .packed_covariants import kappa_matrix
+        vecs = SubsetIndexer(n, 1).masks
+        return ExtLinearMap(n, degrees, out_deg, 1, rows,
+                            list(itertools.product(vecs, repeat=len(degrees))),
+                            kappa_matrix(p, contractions(p, 1), degrees, rows))
     # one contraction table per distinct degree; each slot lists every basis
     # element with its contraction i_beta P (empty when it meets no term)
     tables = {l: contractions(p, l) for l in set(degrees)}
@@ -116,6 +126,10 @@ def kappa_map(p: AltTensor, degrees) -> ExtLinearMap:
     descend(0, (), None)
     mat = [list(row) for row in zip(*columns)]
     return ExtLinearMap(n, degrees, out_deg, 1, rows, col_keys, mat)
+
+
+def _all_int(p: AltTensor) -> bool:
+    return all(type(v) is int for v in p.masks().values())
 
 
 def _wedge_with(ac: dict, p: AltTensor) -> dict:
@@ -282,20 +296,24 @@ def seven_covariants(p: AltTensor) -> SevenCovariants:
         a, b = tuple_of(mmask)
         mc[a - 1][b - 1] = row
         mc[b - 1][a - 1] = [-v for v in row]
-    lm = [[0] * 7 for _ in range(7)]
-    for a in range(7):
-        for b in range(a, 7):
-            v = 0
-            for c in range(7):
-                for d in range(7):
-                    x = mc[a][c][d]
-                    if x:
-                        y = mc[b][d][c]
-                        if y:
-                            v = v + x * y
-            lm[a][b] = v
-            lm[b][a] = v
-    cov.l_matrix = lm
+    if _all_int(p):
+        from .packed_covariants import l_matrix
+        cov.l_matrix = l_matrix(mc)
+    else:
+        lm = [[0] * 7 for _ in range(7)]
+        for a in range(7):
+            for b in range(a, 7):
+                v = 0
+                for c in range(7):
+                    for d in range(7):
+                        x = mc[a][c][d]
+                        if x:
+                            y = mc[b][d][c]
+                            if y:
+                                v = v + x * y
+                lm[a][b] = v
+                lm[b][a] = v
+        cov.l_matrix = lm
     if p.mode == "float":
         cov.b_matrix = [[-x / 6 for x in row] for row in nm]
     else:
@@ -333,10 +351,10 @@ def _eight_tables():
     (kl * 8 + i) * 8 + j, with kl the position of (k, l) in ``_PAIRS8``.
     ``e_rows[c]`` lists, for each triple row of E that holds c and in row
     order, ``(row, kl, negate)``: the rest pair of the row and whether
-    merge_sign(c, kl) is negative.  ``swap[key]`` indexes the signed rows
-    built in ``eight_covariants``: key' for Phi^{b,ij}_{kl} with (i, j)
-    sorted, key' + _NPHI for its negative when i > j, and 2 * _NPHI (never
-    set) when i == j.
+    merge_sign(c, kl) is negative.  ``swap[key]`` indexes the signed Phi
+    lists of ``eight_covariants`` and ``packed_covariants``: key' for
+    Phi^{b,ij}_{kl} with (i, j) sorted, key' + _NPHI for its negative when
+    i > j, and 2 * _NPHI (never set) when i == j.
     """
     pair_pos = {pr: n for n, pr in enumerate(_PAIRS8)}
     e_rows = []
@@ -374,6 +392,10 @@ def eight_covariants(p: AltTensor) -> EightCovariants:
     e_map = kappa_map(p, (1,))
     cov = EightCovariants(f_map, e_map, [], [], [])
     fm, em = f_map.matrix, e_map.matrix
+    if _all_int(p):
+        from .packed_covariants import eight_matrices
+        cov.g_matrix, cov.h_matrix, cov.fe_matrix = eight_matrices(fm, em)
+        return cov
     e_rows, swap = _eight_tables()
     r8 = range(8)
 
@@ -604,29 +626,25 @@ def _words(buf, code):
     return words
 
 
-def _packing(a, b):
-    """(packed rows of ``b``, decoder) for products of rows of ``a`` with ``b``.
+def _codec(bound, n):
+    """(pack, decode) for rows of ``n`` ints in slots that hold ``bound``.
 
-    Row k of ``b`` becomes the one int sum_j b[k][j] 2^(64 m j), whose
-    slots of m 64-bit words hold any signed value within the bound
-    n max|a| max|b| of a product entry.  The decoder takes a sum of
-    ``x * packed[k]`` terms back to its list of entries: adding 2^(64m-1)
-    to every slot settles each slot's borrow from the one below, and
-    xor-ing that offset out again leaves each entry as its own two's
-    complement slot, read in bulk from the bytes.
+    pack(row) is the one int sum_j row[j] 2^(64 m j), whose slots of m
+    64-bit words hold any signed value within ``bound``.  decode takes a
+    sum of int multiples of packed rows back to its list of entries, each
+    of which must lie within ``bound``: adding 2^(64m-1) to every slot
+    settles each slot's borrow from the one below, and xor-ing that offset
+    out again leaves each entry as its own two's complement slot, read in
+    bulk from the bytes.
     """
-    n = len(b)
-    amax = max(max(max(row), -min(row)) for row in a)
-    bmax = max(max(max(row), -min(row)) for row in b)
-    m = ((n * amax * bmax).bit_length() + 64) // 64  # one more bit for the sign
+    m = (bound.bit_length() + 64) // 64  # one more bit for the sign
     size = 8 * m * n
     offset = int.from_bytes((1 << (64 * m - 1)).to_bytes(8 * m, "little") * n,
                             "little")
-    packed = []
-    for row in b:
+
+    def pack(row):
         if not any(row):
-            packed.append(0)
-            continue
+            return 0
         if m == 1:
             words = array("q", row)
             if _BIG_ENDIAN:
@@ -634,7 +652,7 @@ def _packing(a, b):
             buf = words.tobytes()
         else:
             buf = b"".join([v.to_bytes(8 * m, "little", signed=True) for v in row])
-        packed.append((int.from_bytes(buf, "little") ^ offset) - offset)
+        return (int.from_bytes(buf, "little") ^ offset) - offset
 
     def decode(acc):
         if not acc:
@@ -649,7 +667,7 @@ def _packing(a, b):
             out = [(v << 64) | w for v, w in zip(out, low[t::m])]
         return out
 
-    return packed, decode
+    return pack, decode
 
 
 def _support(m):
@@ -666,8 +684,9 @@ def packed_matmul(a, b):
     Row i of the product is sum_k a[i][k] b[k].  When that takes more than
     ``_SPARSE_TERMS * n`` nonzero entry products, it is one sum of
     ``a[i][k] * packed[k]`` big-int terms, decoded once (see
-    :func:`_packing`); a sparser row is accumulated term by term over the
-    nonzero entries.  The entries are exactly those of :func:`matmul`.
+    :func:`_codec`, for the bound n max|a| max|b| of an entry); a sparser
+    row is accumulated term by term over the nonzero entries.  The entries
+    are exactly those of :func:`matmul`.
     """
     n = len(b)
     picks = _support(a)
@@ -677,7 +696,10 @@ def packed_matmul(a, b):
     terms = [len(s) for s in support]
     dense = [sum(map(terms.__getitem__, ks)) > _SPARSE_TERMS * n for ks in picks]
     if any(dense):
-        packed, decode = _packing(list(itertools.compress(a, dense)), b)
+        amax = max(max(max(row), -min(row)) for row in itertools.compress(a, dense))
+        bmax = max(max(max(row), -min(row)) for row in b)
+        pack, decode = _codec(n * amax * bmax, n)
+        packed = list(map(pack, b))
     out = []
     for row, ks, packs in zip(a, picks, dense):
         if packs:
