@@ -27,8 +27,8 @@ from .exterior import (AltTensor, GroupElement, contractions, mask_of,
                        merge_sign, slocc_apply, tuple_of)
 from .invariants import (DELTA_DEGREES, J_DEGREES, dual_trivector, eight_i,
                          nine_deltas, nine_js_scaled, quartic_d, seven_j)
-from .scalars import (TolerancePolicy, invariant_is_zero, rank, row_reduce,
-                      to_complex, zero_threshold)
+from .scalars import (TolerancePolicy, _bareiss, invariant_is_zero, quotient,
+                      rank, row_reduce, to_complex, zero_threshold)
 
 
 class ClassLabel:
@@ -327,32 +327,34 @@ def support_reduction(p: AltTensor):
 
     The kernel of v -> i_v P is complemented by pivot coordinates of the
     flattened amplitude matrix; the inverse of that basis moves the state
-    into the span of the first ``rank`` indices.
+    into the span of the first ``rank`` indices.  Exact rows are those of
+    the primitive multiple, reduced fraction-free (c P has the reduced rows
+    of P); float rows go to ``row_reduce``.  Nothing is inverted.
     """
-    n = p.dim
+    n, exact = p.dim, p.mode != "float"
     # the row of the pair a < b holds P_iab = (i_{ab} P)_i over i
-    pairs = contractions(p, 2)
+    pairs = contractions(p.representative()[0] if exact else p, 2)
     rows = [[pairs.get(mask_of(ab), {}).get(1 << i, 0) for i in range(n)]
             for ab in itertools.combinations(range(1, n + 1), 2)]
-    m, piv_cols, _ = row_reduce(rows, TolerancePolicy.ABSOLUTE_FLOOR)
+    if exact:
+        piv_cols, m, d = _bareiss(rows, jordan=True)
+        m = [[quotient(x, d) for x in row] for row in m]
+    else:
+        m, piv_cols, _ = row_reduce(rows, TolerancePolicy.ABSOLUTE_FLOOR)
     free = [c for c in range(n) if c not in piv_cols]
-    kernel = []
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
+    unit = [[int(i == c) for i in range(n)] for c in range(n)]
+    kernel = [list(unit[fc]) for fc in free]
+    for vec, fc in zip(kernel, free):
         for i, pc in enumerate(piv_cols):
             vec[pc] = -m[i][fc]
-        kernel.append(vec)
-    cols = []
-    for pc in piv_cols:
-        e = [0] * n
-        e[pc] = 1
-        cols.append(e)
-    cols.extend(kernel)
-    # columns of h are (pivot axes | kernel basis); the state moved by h^-1
-    # is supported on the leading pivot block, and h^T is the inverse
-    # transpose of h^-1
-    return GroupElement.from_inverse_transpose(cols), len(piv_cols)
+    # h has columns (pivot axes | kernel basis); the state moved by h^-1 is
+    # supported on the leading pivot block.  h^-1 is the reduced rows over
+    # e_f, unit upper triangular in the column order (p, f), and h^T is its
+    # inverse transpose
+    odd = sum(fc < pc for pc in piv_cols for fc in free) % 2
+    g = GroupElement(m[:len(piv_cols)] + [unit[fc] for fc in free],
+                     [unit[pc] for pc in piv_cols] + kernel, -1 if odd else 1)
+    return g, len(piv_cols)
 
 
 @_on_representative

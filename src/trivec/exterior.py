@@ -503,25 +503,14 @@ class GroupElement:
 
     __slots__ = ("dim", "matrix", "det", "inverse_transpose")
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, inverse_transpose=None, det=None):
+        """``inverse_transpose`` and ``det``, when known in closed form, are
+        kept as given; otherwise one inversion computes both."""
         self.dim = len(matrix)
         self.matrix = [list(row) for row in matrix]
-        self.inverse_transpose, self.det = _invert_transpose(self.matrix)
-
-    @classmethod
-    def from_inverse_transpose(cls, it) -> "GroupElement":
-        """The element whose inverse transpose is ``it``, by one inversion.
-
-        ``it`` is kept as given, so the element acts through exactly that
-        matrix in float mode too.
-        """
-        g = cls.__new__(cls)
-        g.dim = len(it)
-        g.inverse_transpose = [list(row) for row in it]
-        # inverse transposition is an involution, and det(g) = 1 / det(it)
-        g.matrix, det = _invert_transpose(g.inverse_transpose)
-        g.det = normal_form(1 / det)
-        return g
+        if inverse_transpose is None:
+            inverse_transpose, det = _invert_transpose(self.matrix)
+        self.inverse_transpose, self.det = inverse_transpose, det
 
     @classmethod
     def identity(cls, dim: int) -> "GroupElement":
@@ -530,16 +519,6 @@ class GroupElement:
     @classmethod
     def scalar(cls, dim: int, c) -> "GroupElement":
         return cls([[c if i == j else 0 * c for j in range(dim)] for i in range(dim)])
-
-    @classmethod
-    def basis_permutation(cls, dim: int, image) -> "GroupElement":
-        """Element sending e_i to e_{image[i]} (image is a 1-based mapping)."""
-        if sorted(image) != list(range(1, dim + 1)):
-            raise ValueError("image is not a permutation")
-        m = [[0] * dim for _ in range(dim)]
-        for i, t in enumerate(image, start=1):
-            m[t - 1][i - 1] = 1
-        return cls(m)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.dim != other.dim:

@@ -20,13 +20,13 @@ out of exact mode.  Every float threshold is a class constant of
 they run; they take the state or matrix alone.
 
 The matrix kernels operate on rectangular lists of row lists.  In exact mode
-rank and determinant use fraction-free (Bareiss) elimination, so results are
-bit-exact; rank first divides the row and column gcds out of a matrix of
-(Gaussian) integers.  Every other elimination (inverses, kernels, float
-determinants) is the one Gauss-Jordan kernel :func:`row_reduce`.  In float
-mode rank counts the diagonal of a Householder QR with column pivoting,
-taken directly on the complex entries, against :class:`TolerancePolicy`;
-Hermitian eigenvalues come from cyclic Jacobi sweeps.
+rank, determinant and the reduced rows of ``support_reduction`` come from
+fraction-free (Bareiss) elimination, so results are bit-exact; rank first
+divides the row and column gcds out of (Gaussian) integers.  Inverses and
+float eliminations go through :func:`row_reduce`.  In float mode rank
+counts the diagonal of a Householder QR with column pivoting, taken directly
+on the complex entries, against :class:`TolerancePolicy`; Hermitian
+eigenvalues come from cyclic Jacobi sweeps.
 """
 
 from __future__ import annotations
@@ -296,7 +296,7 @@ def _combine(s, a, t, f, d, integral):
     return q
 
 
-def _bareiss(m):
+def _bareiss(m, jordan=False):
     """Fraction-free elimination.  Returns (rank, det_of_leading_block, swaps).
 
     ``det`` is meaningful only when the matrix is square and has full rank;
@@ -307,10 +307,15 @@ def _bareiss(m):
     (p s - f r) / d with divisor p.  Scaling keeps a row's zeros, so the
     pivots are those of classic Bareiss.  A matrix with a non-int entry runs
     on Fractions or Gaussian rationals throughout.
+
+    With ``jordan`` it is Gauss-Jordan (Nakos, Turner and Williams 1997):
+    whole rows, those above the pivot too, take the same update.  It then
+    returns (pivot columns, rows, d): the nonzero rows of the reduced row
+    echelon form, each times d, the last pivot.
     """
     nr, nc = _check_rect(m)
     if nr == 0 or nc == 0:
-        return 0, 1, 0
+        return ([], [], 1) if jordan else (0, 1, 0)
     kinds = {type(x) for row in m for x in row}
     integral = all(issubclass(t, int) for t in kinds)
     if not integral:
@@ -320,6 +325,7 @@ def _bareiss(m):
     divs = [1] * nr
     prev = 1
     rank = swaps = 0
+    pivots = []
     for col in range(nc):
         piv = next((i for i in range(rank, nr) if rows[i][col]), None)
         if piv is None:
@@ -331,18 +337,28 @@ def _bareiss(m):
         r = rows[rank][col:]
         if divs[rank] != prev:
             r = _combine(r, prev, r, 0, divs[rank], integral)
-        pv, r = r[0], r[1:]
-        for i in range(rank + 1, nr):
+        pv = r[0]
+        if jordan:  # whole rows; before the pivot column this one holds zeros
+            r = rows[rank] = rows[rank][:col] + r
+            lo, divs[rank] = 0, pv
+            others = [i for i in range(nr) if i != rank]
+            pivots.append(col)
+        else:
+            lo, r, others = col + 1, r[1:], range(rank + 1, nr)
+        for i in others:
             s = rows[i]
             f = s[col]
             if f:
-                s[col + 1:] = _combine(s[col + 1:], pv, r, f, divs[i], integral)
+                s[lo:] = _combine(s[lo:], pv, r, f, divs[i], integral)
                 divs[i] = pv
         prev = pv
         rank += 1
         if rank == nr:
             break
-    return rank, prev, swaps
+    if not jordan:
+        return rank, prev, swaps
+    return pivots, [s if d == prev else _combine(s, prev, s, 0, d, integral)
+                    for s, d in zip(rows, divs[:rank])], prev
 
 
 def row_reduce(m, floor: float = 0.0):

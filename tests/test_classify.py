@@ -19,7 +19,8 @@ from trivec.exterior import (AltTensor, GroupElement, canonical_state,
                              embed_three_qutrits, slocc_apply)
 from trivec.invariants import J_DEGREES, nine_js
 from trivec.oracle import random_invertible, random_state, random_unimodular
-from trivec.scalars import GaussianRational, TolerancePolicy
+from trivec.scalars import (GaussianRational, TolerancePolicy, _bareiss,
+                            determinant, quotient, row_reduce)
 
 from test_acceptance import FAMILY_RANK_T, FAMILY_SAMPLES
 from test_scalars import is_normal
@@ -148,7 +149,94 @@ def test_support_reduction_rank():
     assert classify8(p).label == "Sep"
 
 
-def test_support_reduction_inverts_once(monkeypatch):
+def _support_cases():
+    """Eight-mode states: canonical rows XI-XXIII and the six- and
+    seven-mode rows written as eight-mode states, each canonical, moved by
+    random_unimodular(8, 100) and moved by random_invertible(8, 202), and
+    each of those times 3/5+4/5 i."""
+    z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    rows = [canonical_state(8, label) for label in TABLE3.values()]
+    rows += [AltTensor.from_terms(8, 3, list(canonical_state(dim, label).terms()))
+             for dim, table in ((6, TABLE1), (7, TABLE2)) for label in table.values()]
+    out = []
+    for p in rows:
+        for q in (p, slocc_apply(random_unimodular(8, 100), p),
+                  slocc_apply(random_invertible(8, 202), p)):
+            out += [q, AltTensor(8, 3, {m: v * z for m, v in q.masks().items()})]
+    return out
+
+
+def _support_rows(q):
+    """The 28 rows P_iab over i, one per pair a < b."""
+    return [[q.component((i, a, b)) for i in range(1, 9)]
+            for a, b in itertools.combinations(range(1, 9), 2)]
+
+
+def _reference_inverse_transpose(reduced, pivots):
+    """h^T from row_reduce's rows: the pivot axes e_p over the kernel basis
+    read off the reduced rows."""
+    free = [c for c in range(8) if c not in pivots]
+    return [[int(i == c) for i in range(8)] for c in pivots] + [
+        [-reduced[pivots.index(i)][fc] if i in pivots else int(i == fc)
+         for i in range(8)] for fc in free]
+
+
+def test_support_reduction_element_in_closed_form():
+    # the reduced rows come from the Gauss-Jordan mode of _bareiss on the
+    # primitive multiple and equal row_reduce's on the state; g is h^-1,
+    # written down as the reduced rows over e_f, with inverse transpose h^T
+    # and det sign(p, f), none of them computed by an inversion; the rotated
+    # state equals the one that row_reduce's rows and an inverted element
+    # give, entry for entry
+    one = [[int(i == j) for j in range(8)] for i in range(8)]
+    for q in _support_cases():
+        reduced, want_pivots, _ = row_reduce(_support_rows(q))
+        pivots, scaled, d = _bareiss(_support_rows(q.representative()[0]), True)
+        assert pivots == want_pivots
+        assert [[quotient(x, d) for x in row] for row in scaled] == reduced[:len(pivots)]
+        g, r = support_reduction(q)
+        assert r == len(pivots)
+        assert [[sum(x * y for x, y in zip(row, col)) for col in g.inverse_transpose]
+                for row in g.matrix] == one
+        assert g.det == determinant(g.matrix)
+        it = _reference_inverse_transpose(reduced, pivots)
+        assert g.inverse_transpose == it
+        inverted = GroupElement(it)
+        assert inverted.inverse_transpose == g.matrix and inverted.det * g.det == 1
+        # classify8 rotates the primitive multiple; g acts only through its
+        # inverse transpose, equal to the reference above, and the two
+        # rotations are also compared where they are cheap, on int
+        # representatives
+        rep = q.representative()[0]
+        moved = slocc_apply(g, rep).masks()
+        assert all(m < 1 << r for m in moved)
+        if all(type(v) is int for v in rep.masks().values()):
+            reference = slocc_apply(GroupElement(inverted.inverse_transpose), rep).masks()
+            assert moved == reference
+            assert [type(v) for v in moved.values()] == [type(v) for v in reference.values()]
+
+
+def test_float_support_reduction_keeps_row_reduce_bits():
+    # float rows keep row_reduce's float branch, so g acts through the
+    # reference h^T bit for bit; g.matrix is h^-1 up to rounding
+    for q in _support_cases()[::8]:
+        f = q.to_float()
+        reduced, pivots, _ = row_reduce(_support_rows(f),
+                                        TolerancePolicy.ABSOLUTE_FLOOR)
+        g, r = support_reduction(f)
+        assert r == len(pivots)
+        want = _reference_inverse_transpose(reduced, pivots)
+        assert [[repr(x) for x in row] for row in g.inverse_transpose] == \
+            [[repr(x) for x in row] for row in want]
+        assert all(abs(sum(x * y for x, y in zip(row, col)) - (i == j)) < 1e-9
+                   for i, row in enumerate(g.matrix)
+                   for j, col in enumerate(g.inverse_transpose))
+        assert abs(g.det - determinant(g.matrix)) < 1e-9
+
+
+def test_support_reduction_inverts_no_matrix(monkeypatch):
+    # the element is written down in closed form: no call inverts a matrix,
+    # in exact or float mode, and it still moves the state onto r indices
     calls = []
     invert = trivec.exterior._invert_transpose
 
@@ -163,32 +251,56 @@ def test_support_reduction_inverts_once(monkeypatch):
         for q in (p, p.to_float()):
             calls.clear()
             g, r = support_reduction(q)
-            assert len(calls) == 1
+            assert calls == []
             moved = slocc_apply(g, q)
             assert max(t[-1] for t, v in moved.terms() if abs(v) > 1e-9) == r
 
 
 def test_support_reduction_rows_are_the_component_rows(monkeypatch):
+    # exact rows, rational or Gaussian, go once to the Gauss-Jordan mode of
+    # _bareiss and float rows once to row_reduce; each sees the 28 rows
+    # P_iab over i, of the primitive multiple for an exact state and of the
+    # state itself for a float one, and the other kernel is never called
     seen = []
     classify_module = importlib.import_module("trivec.classify")
-    reduce = classify_module.row_reduce
+    bareiss, reduce = classify_module._bareiss, classify_module.row_reduce
 
-    def recorded(rows, floor=0.0):
-        seen.append([list(r) for r in rows])
+    def recorded_bareiss(rows, jordan=False):
+        seen.append(("bareiss", jordan, [list(r) for r in rows]))
+        return bareiss(rows, jordan)
+
+    def recorded_reduce(rows, floor=0.0):
+        seen.append(("row_reduce", floor, [list(r) for r in rows]))
         return reduce(rows, floor)
 
-    monkeypatch.setattr(classify_module, "row_reduce", recorded)
+    monkeypatch.setattr(classify_module, "_bareiss", recorded_bareiss)
+    monkeypatch.setattr(classify_module, "row_reduce", recorded_reduce)
     z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
     x7 = AltTensor.from_terms(8, 3, list(canonical_state(7, "X").terms()))
     for p in (slocc_apply(random_invertible(8, 7), canonical_state(8, "XV")),
               slocc_apply(random_unimodular(8, 100), x7)):
-        for q in (p, p.to_float(),
-                  AltTensor(8, 3, {m: v * z for m, v in p.masks().items()})):
+        gaussian = AltTensor(8, 3, {m: v * z for m, v in p.masks().items()})
+        for q, kernel, arg in ((p, "bareiss", True), (gaussian, "bareiss", True),
+                               (p.to_float(), "row_reduce",
+                                TolerancePolicy.ABSOLUTE_FLOOR)):
             seen.clear()
             support_reduction(q)
-            want = [[q.component((i, a, b)) for i in range(1, 9)]
-                    for a, b in itertools.combinations(range(1, 9), 2)]
-            assert seen == [want]
+            assert seen == [(kernel, arg, _support_rows(
+                q if kernel == "row_reduce" else q.representative()[0]))]
+
+
+@pytest.mark.xfail(strict=True, reason="known float defect: the zero test of "
+                   "D reads 7.7e-4 as zero (float zero tests, ROADMAP item 2)")
+def test_float_ghz_moved_by_element_608932_reads_ghz():
+    # canonical 6:GHZ as floats, moved by random_invertible(6, 608932), as a
+    # `random --slocc-of` transport of the float file draws it: the rank
+    # triple says GHZ, but D = 7.7e-4 is flagged zero, so the chain says W
+    # and the label is Unclassified
+    p = slocc_apply(random_invertible(6, 608932), canonical_state(6, "GHZ").to_float())
+    out = classify(p)
+    assert out.signature == (6, 6, 6)
+    assert abs(out.invariants["quartic_d"][0] - 1 / 1296) < 1e-9
+    assert out.label == "GHZ"
 
 
 def test_float_moved_eight_mode_xi():

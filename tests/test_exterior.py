@@ -194,7 +194,10 @@ def test_permuted_qubit_embedding_is_group_equivalent_to_block():
            [(b1, b2, b3) for b1 in (0, 1) for b2 in (0, 1) for b3 in (0, 1)]}
     block = embed_qudits({(k[0] + 1, k[1] + 1, k[2] + 1): v
                           for k, v in psi.items()}, 2, 3)
-    perm = GroupElement.basis_permutation(6, [1, 4, 2, 5, 3, 6])
+    # the element sending e_i to e_image(i)
+    image = [1, 4, 2, 5, 3, 6]
+    perm = GroupElement([[int(image[j] == i + 1) for j in range(6)]
+                         for i in range(6)])
     assert slocc_apply(perm, block) == embed_three_qubits(psi)
 
 
@@ -315,7 +318,12 @@ def test_alt_tensor_stores_the_exact_normal_form():
                                     ((1, 2, 4), GaussianRational(1, -1))])
     gp = [[Fraction(int(i == j)) for j in range(7)] for i in range(7)]
     gp[2][2] = gp[2][3] = Fraction(1, 3)
-    image = slocc_apply(GroupElement.from_inverse_transpose(gp), p)
+    # the element whose inverse transpose is gp: (gp^-1)^T
+    m = [[int(i == j) for j in range(7)] for i in range(7)]
+    m[2][2], m[3][2] = 3, -1
+    g = GroupElement(m)
+    assert g.inverse_transpose == gp
+    image = slocc_apply(g, p)
     assert image.masks() == {0b111: Fraction(2, 3), 0b1011: GaussianRational(1, -1)}
     assert type(image.masks()[0b111]) is Fraction
     for label in ("IV", "X"):

@@ -16,6 +16,11 @@ from trivec.scalars import (GaussianRational, TolerancePolicy, _bareiss,
                             pfaffian, quotient, rank, row_reduce,
                             zero_threshold)
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the property on int matrices needs it
+    st = None
+
 
 def test_gaussian_rational_basic_arithmetic():
     a = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
@@ -377,6 +382,56 @@ def test_bareiss_rank_and_det_equal_row_reduce(name, m):
     assert rank(m) == len(pivots)
 
 
+def _check_jordan(m):
+    """The Gauss-Jordan mode of _bareiss against row_reduce on ``m``."""
+    pivots, rows, d = _bareiss(m, jordan=True)
+    want, want_pivots, _ = row_reduce(m)
+    assert pivots == want_pivots
+    # row i times d, value for value; row_reduce's other rows are zero
+    assert [[quotient(x, d) for x in row] for row in rows] == want[:len(pivots)]
+    assert not any(x for row in want[len(pivots):] for x in row)
+    # the same pivots as the rank mode, so the same last pivot
+    assert (len(pivots), d) == _bareiss(m)[:2]
+    for i, row in enumerate(rows):
+        assert [row[c] for c in pivots] == [d if j == i else 0
+                                            for j in range(len(pivots))]
+    if all(type(x) is int for row in m for x in row):
+        assert all(type(x) is int for row in rows for x in row)  # fraction-free
+
+
+@pytest.mark.parametrize("name,m", BAREISS_CASES, ids=[c[0] for c in BAREISS_CASES])
+def test_bareiss_jordan_mode_equals_row_reduce(name, m):
+    _check_jordan(m)
+
+
+def test_bareiss_jordan_mode_edge_shapes():
+    for m in ([], [[]], [[0, 0], [0, 0]], [[0], [3]], [[5]], [[0, 2, 4]],
+              [[1, 2], [2, 4], [3, 6]], [[Fraction(1, 2), 1], [1, 2]]):
+        _check_jordan(m)
+    # the rows above a pivot are cleared too: [[2, 3], [4, 5]] -> 2 I
+    assert _bareiss([[2, 3], [4, 5]], jordan=True) == ([0, 1], [[-2, 0], [0, -2]], -2)
+
+
+if st is not None:
+    @st.composite
+    def low_rank_int_matrices(draw):
+        """Int products A B of nr x r and r x nc factors, so that tall, wide,
+        square and rank-deficient matrices all occur, with small and with
+        multi-word entries."""
+        nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        r = draw(st.integers(0, min(nr, nc)))
+        coeffs = st.integers(-3, 3) | st.integers(-2 ** 40, 2 ** 40)
+        a = [draw(st.lists(coeffs, min_size=r, max_size=r)) for _ in range(nr)]
+        b = [draw(st.lists(coeffs, min_size=nc, max_size=nc)) for _ in range(r)]
+        return [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(nc)]
+                for i in range(nr)]
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(low_rank_int_matrices())
+    def test_bareiss_jordan_mode_equals_row_reduce_on_int_matrices(m):
+        _check_jordan(m)
+
+
 def test_bareiss_raises_on_a_non_exact_division():
     class Skewed(int):
         """An int whose products are one too large."""
@@ -388,8 +443,9 @@ def test_bareiss_raises_on_a_non_exact_division():
 
     m = [[2, 1, 1], [1, 3, 1], [1, 1, 4]]
     assert _bareiss(m) == (3, 17, 0)
-    with pytest.raises(ArithmeticError, match="non-exact integer division"):
-        _bareiss([[Skewed(x) for x in row] for row in m])
+    for jordan in (False, True):
+        with pytest.raises(ArithmeticError, match="non-exact integer division"):
+            _bareiss([[Skewed(x) for x in row] for row in m], jordan)
 
 
 def test_determinant_matches_permutation_expansion():
@@ -532,8 +588,8 @@ def test_singular_group_element_is_rejected():
 
 def test_group_element_determinant_comes_from_its_inversion():
     # the one Gauss-Jordan elimination that inverts g also gives det(g), in
-    # the exact normal form; det(g) = 1 / det(g') for an element built from
-    # its inverse transpose g'
+    # the exact normal form; inverse transposition is an involution, and
+    # det(g') = 1 / det(g) for the element built from g' = inverse transpose
     phase = GaussianRational(Fraction(3, 5), Fraction(4, 5))
     for n, seed in ((3, 1), (6, 2), (9, 3)):
         m = random_invertible(n, seed).matrix
@@ -541,8 +597,12 @@ def test_group_element_determinant_comes_from_its_inversion():
         for g in (GroupElement(m), GroupElement([[Fraction(x, 7) for x in row]
                                                  for row in m[1:]] + [m[0]])):
             assert g.det == determinant(g.matrix) and is_normal(g.det)
-            h = GroupElement.from_inverse_transpose(g.inverse_transpose)
-            assert h.matrix == g.matrix and h.det == g.det
+            h = GroupElement(g.inverse_transpose)
+            assert h.inverse_transpose == g.matrix and h.det == 1 / g.det
+            assert is_normal(h.det)
+            # given in closed form, the inverse and det are kept as they are
+            k = GroupElement(h.matrix, g.matrix, h.det)
+            assert k.inverse_transpose is g.matrix and k.det is h.det
 
 
 def test_row_reduce_pivots_and_floor():
