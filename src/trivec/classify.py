@@ -13,7 +13,8 @@ covariants it built once.  P and cP lie in one class, so every state is
 classified on one multiple of itself, ``AltTensor.representative``: an exact
 state on its primitive integer multiple, a float state at unit size, so that
 no decision depends on the input's scale.  Each invariant is taken back to the
-caller's state by homogeneity.
+caller's state by homogeneity, and its zero flag is the one verdict the
+classifier reached on the representative.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .covariants import (eight_covariants, first_order_map, k_matrix_6,
-                         kappa_map, seven_covariants)
+from .covariants import (dual_trivector, eight_covariants, first_order_map,
+                         k_matrix_6, kappa_map, seven_covariants)
 from .exterior import (AltTensor, GroupElement, contractions, mask_of,
                        merge_sign, slocc_apply, tuple_of)
-from .invariants import (DELTA_DEGREES, J_DEGREES, dual_trivector, eight_i,
-                         nine_deltas, nine_js_scaled, quartic_d, seven_j)
+from .invariants import (DELTA_DEGREES, J_DEGREES, eight_i, nine_deltas,
+                         nine_js_scaled, quartic_d, seven_j)
 from .scalars import (TolerancePolicy, _bareiss, invariant_is_zero, quotient,
                       rank, row_reduce, to_complex, zero_threshold)
 
@@ -36,7 +37,8 @@ class ClassLabel:
 
     ``invariants`` maps the report name of each polynomial invariant the
     classifier evaluated to ``(value, degree)`` for the caller's state, and
-    ``zero`` maps the same names to whether the invariant vanishes.
+    ``zero`` maps the same names to the classifier's verdict on whether the
+    invariant vanishes.
     """
 
     __slots__ = ("dimension", "label", "signature", "detail", "invariants",
@@ -122,18 +124,22 @@ def _check(p, dim):
 
 def _on_representative(classifier):
     """Run ``classifier`` on ``p.representative()`` and take each invariant
-    it returns back to ``p``; zero flags are decided on the representative."""
+    it returns back to ``p``.  The classifier's own zero verdicts, decided on
+    the representative, are the ones reported."""
     @functools.wraps(classifier)
     def run(p):
         q, unscale = p.representative()
         out = classifier(q)
-        scale, eps = q.max_abs(), TolerancePolicy.ZERO_EPSILON
-        out.zero = {name: invariant_is_zero(v, scale, deg, eps)
-                    for name, (v, deg) in out.invariants.items()}
         out.invariants = {name: (unscale(v, deg), deg)
                           for name, (v, deg) in out.invariants.items()}
         return out
     return run
+
+
+def _is_zero(value, p: AltTensor, degree: int) -> bool:
+    """The verdict on an invariant of ``degree`` of the representative p."""
+    return invariant_is_zero(value, p.max_abs(), degree,
+                             TolerancePolicy.ZERO_EPSILON)
 
 
 # ---------------------------------------------------------------------------
@@ -183,28 +189,6 @@ def plucker_residuals(p: AltTensor):
     return out
 
 
-def leclerc_residuals(p: AltTensor):
-    """Residuals of the 3x3 block form of the separability relations.
-
-    Valid for six dimensions: eta X = adj(Y), xi Y = adj(X) and
-    eta xi Id = X Y in the (eta, xi, X, Y) dictionary.  Agrees with the
-    general residual test; both are checked in the suite.
-    """
-    _check(p, 6)
-    from .invariants import _adjugate3, _block_dictionary
-    eta, xi, x, y = _block_dictionary(p)
-    adjx = _adjugate3(x)
-    adjy = _adjugate3(y)
-    res = []
-    for i in range(3):
-        for j in range(3):
-            res.append(eta * x[i][j] - adjy[i][j])
-            res.append(xi * y[i][j] - adjx[i][j])
-            xy = sum(x[i][k] * y[k][j] for k in range(3))
-            res.append(xy - (eta * xi if i == j else 0 * eta))
-    return res
-
-
 def is_separable(p: AltTensor) -> bool:
     if p.is_zero():
         return True
@@ -238,7 +222,8 @@ def classify6(p: AltTensor) -> ClassLabel:
     eps = TolerancePolicy.ZERO_EPSILON
     k = k_matrix_6(p)
     d = quartic_d(p, k=k)
-    if not invariant_is_zero(d, scale, 4, eps):
+    d_zero = invariant_is_zero(d, scale, 4, eps)
+    if not d_zero:
         chain = "GHZ"
     elif not all(invariant_is_zero(v, scale, 3, eps)
                  for v in dual_trivector(p, k).masks().values()):
@@ -258,7 +243,8 @@ def classify6(p: AltTensor) -> ClassLabel:
     if table != chain:
         detail.update(chain_label=chain, table_label=table)
         label = "Unclassified"
-    return ClassLabel(6, label, triple, detail, {"quartic_d": (d, 4)})
+    return ClassLabel(6, label, triple, detail, {"quartic_d": (d, 4)},
+                      {"quartic_d": d_zero})
 
 
 @_on_representative
@@ -315,7 +301,9 @@ def classify7(p: AltTensor) -> ClassLabel:
     triple = rank_triple_7(p, cov)
     label = TABLE2.get(triple, "Unclassified")
     detail = {"rank_triple": triple} if label == "Unclassified" else {}
-    return ClassLabel(7, label, triple, detail, {"seven_j": (seven_j(p, cov), 7)})
+    j = seven_j(p, cov)
+    return ClassLabel(7, label, triple, detail, {"seven_j": (j, 7)},
+                      {"seven_j": _is_zero(j, p, 7)})
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +357,9 @@ def classify8(p: AltTensor) -> ClassLabel:
     _check(p, 8)
     g, support = support_reduction(p)
     if support <= 7:
-        invariants = {"eight_i": (eight_i(p), 16)}
+        i = eight_i(p)
+        invariants = {"eight_i": (i, 16)}
+        zero = {"eight_i": _is_zero(i, p, 16)}
         rotated = slocc_apply(g, p)
         sub_dim = 7 if support == 7 else 6
         keep = {}
@@ -380,7 +370,7 @@ def classify8(p: AltTensor) -> ClassLabel:
             if m >= 1 << sub_dim:
                 return ClassLabel(8, "Unclassified", (support,),
                                   {"support_reduction_defect": tuple_of(m)},
-                                  invariants)
+                                  invariants, zero)
             keep[m] = v
         sub = AltTensor(sub_dim, 3, keep)
         out = classify6(sub) if sub_dim == 6 else classify7(sub)
@@ -389,13 +379,16 @@ def classify8(p: AltTensor) -> ClassLabel:
         detail["support_rank"] = support
         if sub_dim == 6 and out.label in _SIX_TO_ROMAN:
             detail["roman_equivalent"] = _SIX_TO_ROMAN[out.label]
-        return ClassLabel(8, out.label, out.signature, detail, invariants)
+        return ClassLabel(8, out.label, out.signature, detail, invariants,
+                          zero)
     cov = eight_covariants(p)
     quad = (rank(cov.g_matrix), cov.f_map.rank(), cov.e_map.rank(),
             rank(cov.fe_matrix))
     label = TABLE3.get(quad, "Unclassified")
     detail = {"rank_quadruple": quad} if label == "Unclassified" else {}
-    return ClassLabel(8, label, quad, detail, {"eight_i": (eight_i(p, cov), 16)})
+    i = eight_i(p, cov)
+    return ClassLabel(8, label, quad, detail, {"eight_i": (i, 16)},
+                      {"eight_i": _is_zero(i, p, 16)})
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +409,21 @@ def classify9_family(p: AltTensor) -> ClassLabel:
     eps = TolerancePolicy.ZERO_EPSILON
     js, _, tm = nine_js_scaled(p)
     invariants = dict(zip(("J12", "J18", "J24", "J30"), zip(js, J_DEGREES)))
+    zero = {name: invariant_is_zero(j, scale, deg, eps)
+            for name, (j, deg) in invariants.items()}
     detail = {"rank_T": rank(tm)}
-    if all(invariant_is_zero(j, scale, deg, eps) for j, deg in zip(js, J_DEGREES)):
-        return ClassLabel(9, "family7", (True,) * 4, detail, invariants)
-    deltas = nine_deltas(js)
-    invariants.update(zip(("Delta132", "Delta48", "Delta48p", "Delta24"),
-                          zip(deltas, DELTA_DEGREES)))
+    if all(zero.values()):
+        return ClassLabel(9, "family7", (True,) * 4, detail, invariants, zero)
+    deltas = dict(zip(("Delta132", "Delta48", "Delta48p", "Delta24"),
+                      zip(nine_deltas(js), DELTA_DEGREES)))
+    invariants.update(deltas)
     pattern = tuple(invariant_is_zero(dv, scale, deg, eps)
-                    for dv, deg in zip(deltas, DELTA_DEGREES))
+                    for dv, deg in deltas.values())
+    zero.update(zip(deltas, pattern))
     if p.mode == "float":
         detail["delta132_confidence"] = "low"
     label = TABLE4_ZERO_PATTERNS.get(pattern, "Unclassified")
-    return ClassLabel(9, label, pattern, detail, invariants)
+    return ClassLabel(9, label, pattern, detail, invariants, zero)
 
 
 def classify(p: AltTensor, real_mode: bool = False) -> ClassLabel:

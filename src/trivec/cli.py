@@ -36,7 +36,7 @@ from fractions import Fraction
 from . import __version__
 from .classify import classify
 from .exterior import (AltTensor, canonical_state, embed_three_qubits,
-                       embed_three_qutrits, slocc_apply, sort_indices)
+                       embed_three_qutrits, mask_of, slocc_apply, sort_indices)
 from .invariants import qutrit_normal_form_coefficients, qutrit_normal_invariants
 from .scalars import GaussianRational, normal_form, to_complex
 from .spectra import occupation_spectrum, one_matrix, pinning_analysis
@@ -185,8 +185,7 @@ def parse_state(doc) -> tuple:
     amps = doc.get("amplitudes")
     if not isinstance(amps, list):
         raise CliError("amplitudes: must be a list")
-    seen = set()
-    terms = []
+    coeffs = {}
     for pos, entry in enumerate(amps):
         where = f"amplitudes[{pos}]"
         if not isinstance(entry, dict):
@@ -200,11 +199,13 @@ def parse_state(doc) -> tuple:
         sign, st = sort_indices(idx)
         if sign == 0:
             raise CliError(f"{where}.indices: repeated index")
-        if st in seen:
+        m = mask_of(st)
+        if m in coeffs:
             raise CliError(f"{where}.indices: duplicate index set {list(st)}")
-        seen.add(st)
-        terms.append((tuple(idx), _parse_scalar(entry, mode, where)))
-    return AltTensor.from_terms(dim, 3, terms), mode
+        val = _parse_scalar(entry, mode, where)
+        # the sign as from_terms applies it: the same float bits and zeros
+        coeffs[m] = sign * val if sign < 0 else val
+    return AltTensor(dim, 3, coeffs), mode
 
 
 def state_document(p: AltTensor, mode: str) -> dict:

@@ -794,10 +794,3 @@ def t_power_traces(tm: list) -> dict:
         8: trace_product(b, b),
         10: trace_product(c, b),
     }
-
-
-def t_power_trace(p: AltTensor, n: int):
-    """Tr(T^n) for one of the powers 1..4, 6, 8, 10 of ``t_power_traces``."""
-    if n not in (1, 2, 3, 4, 6, 8, 10):
-        raise ValueError("power must be one of 1, 2, 3, 4, 6, 8, 10")
-    return t_power_traces(t_matrix_rows(p))[n]

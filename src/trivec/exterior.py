@@ -116,12 +116,6 @@ class SubsetIndexer:
     def __len__(self):
         return len(self.masks)
 
-    def tuple_at(self, i: int) -> tuple:
-        return tuple_of(self.masks[i])
-
-    def index_of(self, indices) -> int:
-        return self.position[mask_of(indices)]
-
 
 class AltTensor:
     """Degree-k antisymmetric tensor over an N-dimensional space.
@@ -226,13 +220,6 @@ class AltTensor:
 
     def is_zero(self) -> bool:
         return not self._c
-
-    def support(self) -> int:
-        """Union bitmask of all indices that occur."""
-        out = 0
-        for m in self._c:
-            out |= m
-        return out
 
     def norm_sq(self):
         """Sum of |coefficient|^2 over sorted tuples, in the exact normal

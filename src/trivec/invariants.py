@@ -12,20 +12,21 @@ eight-dim I     16      6
 J12/J18/J24/J30 12..30  4/6/8/10
 ==============  ======  ==========
 
-The nine-dimensional invariants come from traces of powers of the cubic
-endomorphism; the odd traces and the second-power trace vanish identically
-and are verified, not assumed.  Exact inputs go through their integer
-rescale so rational states cost plain big-integer arithmetic.  Exact values
-come back in the exact normal form.
+Each invariant has one implementation here.  The quartic is the trace of
+the squared 6x6 covariant; its two independent routes live in ``oracle`` as
+cross-checks.  The nine-dimensional invariants come from traces of powers of
+the cubic endomorphism; the odd traces and the second-power trace vanish
+identically and are verified, not assumed.  Exact inputs go through their
+integer rescale so rational states cost plain big-integer arithmetic.  Exact
+values come back in the exact normal form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .covariants import (dual_trivector, eight_covariants, k_matrix_6,
-                         seven_covariants, t_matrix_rows, t_power_traces,
-                         trace_product)
+from .covariants import (eight_covariants, k_matrix_6, seven_covariants,
+                         t_matrix_rows, t_power_traces, trace_product)
 from .exterior import AltTensor
 from .scalars import TolerancePolicy, quotient, to_complex, zero_threshold
 
@@ -34,59 +35,20 @@ from .scalars import TolerancePolicy, quotient, to_complex, zero_threshold
 # six dimensions
 
 
-def _block_dictionary(p: AltTensor):
-    """(eta, xi, X, Y): the scalar pair and 3x3 blocks of the 20 amplitudes."""
-    eta = p.component((1, 2, 3))
-    xi = p.component((4, 5, 6))
-    xcols = ((5, 6), (6, 4), (4, 5))
-    ycols = ((2, 3), (3, 1), (1, 2))
-    x = [[p.component((i,) + cc) for cc in xcols] for i in (1, 2, 3)]
-    y = [[p.component((i,) + cc) for cc in ycols] for i in (4, 5, 6)]
-    return eta, xi, x, y
+def quartic_d(p: AltTensor, k=None):
+    """Quartic relative invariant of a six-dimensional three-form: one sixth
+    of the trace of the squared 6x6 covariant K.
 
-
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def _adjugate3(m):
-    co = [[m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-           - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-           for j in range(3)] for i in range(3)]
-    return [[co[j][i] for j in range(3)] for i in range(3)]
-
-
-def quartic_d(p: AltTensor, route: str = "trace", k=None):
-    """Quartic relative invariant of a six-dimensional three-form.
-
-    Three independent evaluation routes must agree:
-
-    * ``trace``: one sixth of the trace of the squared 6x6 covariant,
-    * ``freudenthal_block``: the quartic form of the (eta, xi, X, Y) block
-      dictionary,
-    * ``pairing``: half the symplectic pairing of the cubic companion
-      three-form against the state.
-
-    ``k`` may pass ``k_matrix_6(p)`` when the caller already has it.
+    ``k`` may pass ``k_matrix_6(p)`` when the caller already has it.  The
+    oracle holds two independent routes to the same value, the quartic form
+    of the (eta, xi, X, Y) block dictionary (``oracle.quartic_d_block``) and
+    half the symplectic pairing of the cubic companion with the state
+    (``oracle.quartic_d_pairing``); the suite checks that all three agree.
     """
     if p.dim != 6 or p.degree != 3:
         raise ValueError("quartic_d expects a three-form in six dimensions")
-    if route == "trace":
-        k = (k_matrix_6(p) if k is None else k).matrix
-        return quotient(trace_product(k, k), 6)
-    if route == "freudenthal_block":
-        eta, xi, x, y = _block_dictionary(p)
-        trxy = sum(x[i][j] * y[j][i] for i in range(3) for j in range(3))
-        tradj = sum(_adjugate3(x)[i][j] * _adjugate3(y)[j][i]
-                    for i in range(3) for j in range(3))
-        return ((eta * xi - trxy) ** 2 - 4 * tradj
-                + 4 * eta * _det3(x) + 4 * xi * _det3(y))
-    if route == "pairing":
-        from .exterior import symplectic_pairing
-        return quotient(symplectic_pairing(dual_trivector(p), p), 2)
-    raise ValueError(f"unknown route {route!r}")
+    k = (k_matrix_6(p) if k is None else k).matrix
+    return quotient(trace_product(k, k), 6)
 
 
 def cayley_hyperdeterminant(psi):

@@ -16,7 +16,9 @@ import math
 import random
 from fractions import Fraction
 
-from .exterior import AltTensor, GroupElement, sort_indices
+from .covariants import dual_trivector
+from .exterior import AltTensor, GroupElement, sort_indices, symplectic_pairing
+from .scalars import quotient
 
 
 def epsilon(seq) -> int:
@@ -142,6 +144,75 @@ def brute_pairing(form: FullTensor, vec: FullTensor):
             if vv:
                 total = total + vf * vv
     return Fraction(1, math.factorial(k)) * total
+
+
+# ---------------------------------------------------------------------------
+# six dimensions: the quartic invariant by two routes independent of
+# ``invariants.quartic_d``'s trace of K^2, and the block separability relations
+
+
+def _block_dictionary(p: AltTensor):
+    """(eta, xi, X, Y): the scalar pair and 3x3 blocks of the 20 amplitudes."""
+    if p.dim != 6 or p.degree != 3:
+        raise ValueError("expected a three-form in six dimensions")
+    eta = p.component((1, 2, 3))
+    xi = p.component((4, 5, 6))
+    xcols = ((5, 6), (6, 4), (4, 5))
+    ycols = ((2, 3), (3, 1), (1, 2))
+    x = [[p.component((i,) + cc) for cc in xcols] for i in (1, 2, 3)]
+    y = [[p.component((i,) + cc) for cc in ycols] for i in (4, 5, 6)]
+    return eta, xi, x, y
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _adjugate3(m):
+    co = [[m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+           - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+           for j in range(3)] for i in range(3)]
+    return [[co[j][i] for j in range(3)] for i in range(3)]
+
+
+def quartic_d_block(p: AltTensor):
+    """The quartic invariant as Freudenthal's quartic form of the block
+    dictionary."""
+    eta, xi, x, y = _block_dictionary(p)
+    trxy = sum(x[i][j] * y[j][i] for i in range(3) for j in range(3))
+    tradj = sum(_adjugate3(x)[i][j] * _adjugate3(y)[j][i]
+                for i in range(3) for j in range(3))
+    return ((eta * xi - trxy) ** 2 - 4 * tradj
+            + 4 * eta * _det3(x) + 4 * xi * _det3(y))
+
+
+def quartic_d_pairing(p: AltTensor):
+    """The quartic invariant as half the symplectic pairing of the cubic
+    companion three-form against the state."""
+    return quotient(symplectic_pairing(dual_trivector(p), p), 2)
+
+
+def leclerc_residuals(p: AltTensor):
+    """Residuals of the 3x3 block form of the separability relations.
+
+    Valid for six dimensions: eta X = adj(Y), xi Y = adj(X) and
+    eta xi Id = X Y in the (eta, xi, X, Y) dictionary.  Agrees with the
+    general residual test ``classify.plucker_residuals``; the suite checks
+    both.
+    """
+    eta, xi, x, y = _block_dictionary(p)
+    adjx = _adjugate3(x)
+    adjy = _adjugate3(y)
+    res = []
+    for i in range(3):
+        for j in range(3):
+            res.append(eta * x[i][j] - adjy[i][j])
+            res.append(xi * y[i][j] - adjx[i][j])
+            xy = sum(x[i][k] * y[k][j] for k in range(3))
+            res.append(xy - (eta * xi if i == j else 0 * eta))
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def to_complex(x) -> complex:
 
 
 class TolerancePolicy:
-    """Every float threshold, as a class constant; exact mode reads none.
+    """The eleven float thresholds, as class constants; exact mode reads none.
 
     Rank counts the diagonal entries |R_kk| of a column-pivoted QR above
     ``max(RELATIVE_RANK_EPSILON * |R_11|, ABSOLUTE_FLOOR, noise)``, where the
@@ -234,6 +234,7 @@ class TolerancePolicy:
     largest amplitude modulus.  The classifiers apply every threshold to the
     unit-scale representative of a float state (``AltTensor.representative``),
     never to the state as given.  Each site reads its constant when it runs.
+    :func:`pfaffian` reads none: it requires exact antisymmetry.
     """
 
     # each commented with the float it judges and, for those that enter
@@ -245,7 +246,6 @@ class TolerancePolicy:
     ROTATED_NOISE = 1e-10  # classify8's rotated amplitudes; largest, 1
     SUPPORT = 1e-10  # natural-orbital amplitudes; largest, 1
     COMPLEX_STRUCTURE = 1e-8  # J^2 + 1 with J = K / sqrt(-D); 1, 1
-    ANTISYMMETRY = 1e-20  # pfaffian's |m_ij + m_ji|^2; max |m_ij|^2, 1
     HERMITIAN = 1e-10  # |h_ij - conj(h_ji)|; max |h_ij|, 1
     TRACE_IDENTITY = 1e-8  # Tr T^n / 84 for n = 1, 2, 3; max |T_ij|, n
     SATURATION = 1e-9  # polytope slacks, saturated (pinned) at most
@@ -572,38 +572,21 @@ def determinant(m):
     return det if len(pivots) == nr else 0j
 
 
-def _antisymmetry_defect(m):
-    nr, _ = _check_rect(m)
-    worst = 0
-    for i in range(nr):
-        for j in range(nr):
-            d = abs_sq(m[i][j] + m[j][i])
-            if d > worst:
-                worst = d
-    return worst
-
-
 def pfaffian(m):
     """Pfaffian of an even-order antisymmetric matrix.
 
     Expansion along the first row; intended for the orders (at most 8) that
     arise here, where the recursion cost is negligible.  Satisfies
-    ``pfaffian(m)**2 == determinant(m)``.
+    ``pfaffian(m)**2 == determinant(m)``.  The matrix must be exactly
+    antisymmetric, m_ji == -m_ij, which the exact matrices it serves are.
     """
     nr, nc = _check_rect(m)
     if nr != nc:
         raise ValueError("pfaffian requires a square matrix")
     if nr % 2:
         raise ValueError("pfaffian requires even order")
-    exact = matrix_is_exact(m)
-    defect = _antisymmetry_defect(m)
-    if exact:
-        if defect != 0:
-            raise ValueError("matrix is not antisymmetric")
-    else:
-        scale = max((abs_sq(x) for row in m for x in row), default=0.0)
-        if defect > zero_threshold(scale, 1, TolerancePolicy.ANTISYMMETRY):
-            raise ValueError("matrix is not antisymmetric to tolerance")
+    if any(m[i][j] != -m[j][i] for i in range(nr) for j in range(i, nr)):
+        raise ValueError("matrix is not antisymmetric")
     if nr == 0:
         return 1
 

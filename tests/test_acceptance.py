@@ -27,7 +27,8 @@ from trivec.exterior import (AltTensor, GroupElement, canonical_state,
 from trivec.invariants import (delta_48, eight_i, jacobian_det_factored,
                                jacobian_matrix, nine_deltas, nine_js,
                                quartic_d, qutrit_normal_invariants, seven_j)
-from trivec.oracle import (appendix_b, epsilon, random_invertible,
+from trivec.oracle import (appendix_b, epsilon, quartic_d_block,
+                           quartic_d_pairing, random_invertible,
                            random_rational_state, random_unimodular)
 from trivec.scalars import determinant, pfaffian, rank
 
@@ -97,14 +98,14 @@ def test_c04_table4_families():
 def test_c05_quartic_three_routes():
     with criterion("5", "quartic invariant: anchor value and three-route agreement on 200 states"):
         ghz = e(6, 1, 2, 3) + e(6, 4, 5, 6)
-        for route in ("trace", "freudenthal_block", "pairing"):
-            assert quartic_d(ghz, route) == 1
+        for route in (quartic_d, quartic_d_block, quartic_d_pairing):
+            assert route(ghz) == 1
         rng = random.Random(501)
         for _ in range(200):
             p = random_rational_state(6, rng, num_bound=4, den_bound=3)
-            a = quartic_d(p, "trace")
-            assert a == quartic_d(p, "freudenthal_block")
-            assert a == quartic_d(p, "pairing")
+            a = quartic_d(p)
+            assert a == quartic_d_block(p)
+            assert a == quartic_d_pairing(p)
 
 
 def test_c06_appendix_polynomial_oracle():

@@ -9,8 +9,7 @@ import pytest
 from trivec.classify import (TABLE1, TABLE2, TABLE3, classify, classify6,
                              classify6_real, classify7, classify8,
                              classify9_family, is_separable,
-                             leclerc_residuals, plucker_residuals,
-                             support_reduction)
+                             plucker_residuals, support_reduction)
 import trivec.covariants
 import trivec.exterior
 import trivec.invariants
@@ -18,7 +17,8 @@ from trivec.cli import parse_state, state_document
 from trivec.exterior import (AltTensor, GroupElement, canonical_state,
                              embed_three_qutrits, slocc_apply)
 from trivec.invariants import J_DEGREES, nine_js
-from trivec.oracle import random_invertible, random_state, random_unimodular
+from trivec.oracle import (leclerc_residuals, random_invertible, random_state,
+                           random_unimodular)
 from trivec.scalars import (GaussianRational, TolerancePolicy, _bareiss,
                             determinant, quotient, row_reduce)
 
@@ -445,6 +445,58 @@ def test_classify9_builds_t_once(monkeypatch):
         assert out.detail["rank_T"] == FAMILY_RANK_T[fam]
         assert len(calls) == 1
 
+
+
+def test_each_zero_is_decided_once(monkeypatch):
+    # every flag in ClassLabel.zero is the classifier's own verdict: the
+    # wrapper that takes invariants back to the caller's state decides none
+    classify_module = importlib.import_module("trivec.classify")
+    decide = classify_module.invariant_is_zero
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(classify_module, "invariant_is_zero", counted)
+    x8 = AltTensor(8, 3, dict(canonical_state(7, "X").masks()))
+    ghz8 = AltTensor(8, 3, dict(canonical_state(6, "GHZ").masks()))
+    # (state, label, calls): the delegated eight-mode states add one call
+    # per rotated amplitude (the noise filter) and the six- or seven-mode
+    # classifier's own; family1 and family6 decide four J's and four Deltas
+    cases = (
+        (canonical_state(6, "GHZ"), "GHZ", 1),
+        (canonical_state(6, "W"), "W", 2),
+        (canonical_state(7, "X"), "X", 1),
+        (canonical_state(8, "XXIII"), "XXIII", 1),
+        (x8, "X", 1 + 7 + 1),
+        (ghz8, "GHZ", 1 + 2 + 1),
+        (canonical_state(9, "family1", (1, 2, 4, 8)), "family1", 8),
+        (canonical_state(9, "family6", FAMILY_SAMPLES[6]), "family6", 8),
+        (canonical_state(9, "family7"), "family7", 4),
+    )
+    for p, label, want in cases:
+        calls.clear()
+        out = classify(p)
+        assert (out.label, len(calls)) == (label, want), label
+        assert out.zero.keys() == out.invariants.keys(), label
+
+
+def test_float_delegated_eight_mode_state_skips_rounding_noise(monkeypatch):
+    # 7:X written in eight modes, moved and made float: the rotated state
+    # has amplitudes at rounding level outside the leading seven indices
+    x8 = AltTensor(8, 3, dict(canonical_state(7, "X").masks()))
+    p = slocc_apply(random_invertible(8, 7), x8).to_float()
+    out = classify8(p)
+    assert (out.label, out.signature) == ("X", (7, 7, 7))
+    assert out.detail["delegated_to"] == 7
+    assert out.zero.keys() == out.invariants.keys() == {"eight_i"}
+    # without the noise filter the first such amplitude is a defect
+    monkeypatch.setattr(TolerancePolicy, "ROTATED_NOISE", 0.0)
+    out = classify8(p)
+    assert (out.label, out.signature) == ("Unclassified", (7,))
+    assert out.detail["support_reduction_defect"] == (1, 7, 8)
+    assert out.zero.keys() == out.invariants.keys() == {"eight_i"}
 
 
 def test_zero_epsilon_of_the_policy_is_honored(monkeypatch):

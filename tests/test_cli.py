@@ -86,6 +86,20 @@ def test_classify_rejects_duplicate_set(tmp_path, capsys):
     assert "duplicate" in err
 
 
+def test_parse_state_checks_each_triple_once(monkeypatch):
+    # the reader sorts and checks every triple itself and hands the
+    # coefficients on as they are
+    def refuse(*args):
+        raise AssertionError("from_terms would sort and check them again")
+
+    monkeypatch.setattr(AltTensor, "from_terms", refuse)
+    doc = ghz_doc()
+    doc["amplitudes"][0]["indices"] = [2, 1, 3]
+    p, mode = parse_state(doc)
+    assert mode == "rational"
+    assert list(p.masks().items()) == [(0b000111, -1), (0b111000, 1)]
+
+
 def test_classify_rejects_top_level_list(tmp_path, capsys):
     path = write_state(tmp_path, "list.json", [ghz_doc()])
     code, _, err = run_cli(capsys, "classify", "--input", path)
@@ -533,6 +547,24 @@ def test_embed_qutrit_normal_form(tmp_path, capsys):
     assert rep["qutrit_family_separation"]["D21"]["zero"] is True
 
 
+def test_embed_qutrit_family_separation_only_on_exact_normal_form(
+        tmp_path, capsys):
+    # the separating combinations have closed forms on the normal form
+    # alone, and their zero flags are exact: off the normal form, or in
+    # float mode, the report gives none
+    normal = [{"indices": list(t), "re": "1"}
+              for t in ((1, 1, 1), (2, 2, 2), (3, 3, 3))]
+    off = normal + [{"indices": [1, 1, 2], "re": "1"}]
+    for amps, mode in ((off, "exact"), (normal, "float")):
+        path = write_state(tmp_path, "psi.json", {"amplitudes": amps})
+        code, out, err = run_cli(capsys, "embed", "--type", "qutrit3",
+                                 "--input", path, "--mode", mode)
+        assert (code, err) == (0, ""), mode
+        rep = json.loads(out)
+        assert rep["classification"]["dimension"] == 9
+        assert rep["qutrit_family_separation"] is None, mode
+
+
 def test_embed_rejects_bad_labels(tmp_path, capsys):
     psi = {"amplitudes": [{"indices": [0, 0, 2], "re": "1", "im": "0"}]}
     path = write_state(tmp_path, "bad.json", psi)
@@ -892,3 +924,29 @@ def test_cli_start_up_leaves_dataclasses_and_the_oracle_unimported():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
+def test_each_command_imports_the_oracle_only_where_it_runs_it(tmp_path):
+    # the oracle holds the random generators, the self-check and the
+    # cross-check routes; a six-mode command on a state file never loads it
+    src = os.path.dirname(os.path.dirname(trivec.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, trivec.cli; rc = trivec.cli.main(sys.argv[1:]); "
+            "print('oracle', rc, 'trivec.oracle' in sys.modules)")
+    ghz = str(tmp_path / "ghz.json")
+    psi = write_state(tmp_path, "psi.json", {"amplitudes": [
+        {"indices": [0, 0, 0], "re": "1"}, {"indices": [1, 1, 1], "re": "1"}]})
+    runs = (
+        (["canonical", "--dim", "6", "--class", "GHZ", "--out", ghz], False),
+        (["classify", "--input", ghz], False),
+        (["classify", "--real", "--input", ghz], False),
+        (["rdm", "--input", ghz], False),
+        (["embed", "--type", "qubit3", "--input", psi], False),
+        (["random", "--slocc-of", ghz, "--seed", "1"], True),
+        (["selfcheck"], True),
+    )
+    for argv, loaded in runs:
+        out = subprocess.run([sys.executable, "-S", "-c", code] + argv,
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert out.stdout.splitlines()[-1] == f"oracle 0 {loaded}", argv

@@ -9,7 +9,7 @@ from trivec.covariants import (bilinear_form_matrix, dual_trivector,
                                eight_covariants, first_order_map,
                                freudenthal_dual, k_matrix_6, kappa_map,
                                matmul, packed_matmul, seven_covariants,
-                               t_power_trace, t_power_traces, t_matrix_rows,
+                               t_power_traces, t_matrix_rows,
                                trace_product, _zmul)
 from trivec.exterior import (AltTensor, SubsetIndexer, canonical_state,
                              interior, mask_of, merge_sign, nine_q,
@@ -354,7 +354,6 @@ def test_t_rank_and_odd_traces():
     assert rank(t_matrix_rows(q1)) == 56
     tr = t_power_traces(t_matrix_rows(q1))
     assert tr[1] == 0 and tr[2] == 0 and tr[3] == 0
-    assert t_power_trace(q1, 1) == 0
 
 
 def _t_rows_by_merge_signs(p):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,8 +9,8 @@ from trivec.exterior import (AltTensor, GroupElement, SubsetIndexer,
                              canonical_state, complex_basis_form, contractions,
                              embed_qudits, embed_three_qubits,
                              embed_three_qutrits, interior, is_primitive,
-                             join_seven, nine_q, pairing, semisimple_state,
-                             slocc_apply, split_seven, star,
+                             join_seven, mask_of, nine_q, pairing,
+                             semisimple_state, slocc_apply, split_seven, star,
                              symplectic_pairing, wedge)
 from trivec.oracle import random_invertible, random_state, random_unimodular
 from trivec.scalars import GaussianRational
@@ -44,8 +45,9 @@ def test_subset_indexer_roundtrip():
     for dim in range(1, 10):
         for k in range(dim + 1):
             idx = SubsetIndexer(dim, k)
-            for i in range(len(idx)):
-                assert idx.index_of(idx.tuple_at(i)) == i
+            subsets = itertools.combinations(range(1, dim + 1), k)
+            assert idx.masks == sorted(mask_of(t) for t in subsets)
+            assert all(idx.position[m] == i for i, m in enumerate(idx.masks))
 
 
 def test_wedge_anchors():

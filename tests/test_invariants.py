@@ -13,8 +13,9 @@ from trivec.invariants import (cayley_hyperdeterminant, delta_132, delta_24,
                                jacobian_rank, nine_deltas, nine_js,
                                quartic_d, qutrit_normal_form_coefficients,
                                qutrit_normal_invariants, seven_j, three_tangle)
-from trivec.oracle import (appendix_b, random_invertible,
-                           random_rational_state, random_state)
+from trivec.oracle import (appendix_b, quartic_d_block, quartic_d_pairing,
+                           random_invertible, random_rational_state,
+                           random_state)
 from trivec.scalars import GaussianRational, determinant, pfaffian
 
 
@@ -41,12 +42,10 @@ def test_quartic_routes_agree():
     rng = random.Random(40)
     for _ in range(40):
         p = random_rational_state(6, rng)
-        a = quartic_d(p, "trace")
-        b = quartic_d(p, "freudenthal_block")
-        c = quartic_d(p, "pairing")
+        a = quartic_d(p)
+        b = quartic_d_block(p)
+        c = quartic_d_pairing(p)
         assert a == b == c
-    with pytest.raises(ValueError):
-        quartic_d(GHZ, "nope")
 
 
 def test_quartic_homogeneity_and_covariance():

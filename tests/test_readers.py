@@ -7,6 +7,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from trivec.cli import CliError, _parse_psi, parse_state  # noqa: E402
+from trivec.exterior import AltTensor  # noqa: E402
+from trivec.scalars import GaussianRational  # noqa: E402
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -67,3 +69,30 @@ def test_embed_reader_reads_or_raises_cli_error(mode, data):
         _parse_psi(doc, count, mode, labels, "labels")
     except CliError:
         pass
+
+
+TRIPLES = [(i, j, k) for i in range(1, 10) for j in range(i + 1, 10)
+           for k in range(j + 1, 10)]
+FLOATS = st.sampled_from([0.0, -0.0, 1.5, -0.25]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@FAST
+@given(st.sampled_from(["rational", "float"]), st.data())
+def test_parse_state_builds_the_tensor_from_terms_builds(mode, data):
+    # file order, the sign of a permuted triple, float bits and signed zeros
+    sets = data.draw(st.lists(st.sampled_from(TRIPLES), min_size=1, max_size=6,
+                              unique=True))
+    parts = FLOATS if mode == "float" else st.fractions(max_denominator=9)
+    amps, terms = [], []
+    for t in sets:
+        idx = data.draw(st.permutations(t))
+        re, im = data.draw(parts), data.draw(parts)
+        amps.append({"indices": idx, "re": str(re), "im": str(im)})
+        terms.append((tuple(idx), complex(re, im) if mode == "float"
+                      else GaussianRational(re, im)))
+    p, _ = parse_state({"format": 1, "dimension": 9, "degree": 3,
+                        "scalar_mode": mode, "amplitudes": amps})
+    want = AltTensor.from_terms(9, 3, terms)
+    assert [(m, repr(v)) for m, v in p.masks().items()] == \
+        [(m, repr(v)) for m, v in want.masks().items()]

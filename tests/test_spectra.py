@@ -227,3 +227,28 @@ def test_natural_orbital_rotation_preserves_class_seven_dim():
         p = random_rational_state(7, rng).to_float()
         rotated, _ = natural_orbital_transform(p)
         assert classify7(rotated).label == classify7(p).label
+
+
+def test_pinning_analysis_first_constraint_in_class_x_is_a_violation():
+    # the label is the caller's: the state itself is VIII, but a label X
+    # with the first constraint saturated is the inconsistency reported
+    p = e(7, 1, 2, 3) + e(7, 1, 4, 5) + e(7, 2, 6, 7)
+    report = pinning_analysis(p, "X")
+    assert report["support_pattern"] == "first_constraint_pinned"
+    assert report["constraints"][0]["saturated"]
+    assert report["violations"] == ["first constraint saturated in class X"]
+    assert not report["consistent"]
+
+
+def test_pinning_analysis_saturation_in_a_forbidden_class_is_a_violation():
+    report = pinning_analysis(e(6, 1, 2, 3), "GHZ")
+    assert report["support_pattern"] == "borland_dennis_pinned"
+    assert report["violations"] == [
+        "borland_dennis saturated in a class where pinning is impossible"]
+    assert not report["consistent"]
+    report = pinning_analysis(e(7, 1, 2, 3) + e(7, 1, 4, 5), "V")
+    sat = [c["saturated"] for c in report["constraints"]]
+    assert sat[0] and sat[1] and sat[3]
+    assert report["violations"] == [
+        "triple saturation in a class where it is impossible"]
+    assert not report["consistent"]
