@@ -136,12 +136,6 @@ def _on_representative(classifier):
     return run
 
 
-def _is_zero(value, p: AltTensor, degree: int) -> bool:
-    """The verdict on an invariant of ``degree`` of the representative p."""
-    return invariant_is_zero(value, p.max_abs(), degree,
-                             TolerancePolicy.ZERO_EPSILON)
-
-
 # ---------------------------------------------------------------------------
 # Pluecker relations
 
@@ -302,8 +296,9 @@ def classify7(p: AltTensor) -> ClassLabel:
     label = TABLE2.get(triple, "Unclassified")
     detail = {"rank_triple": triple} if label == "Unclassified" else {}
     j = seven_j(p, cov)
+    zero = invariant_is_zero(j, p.max_abs(), 7, TolerancePolicy.ZERO_EPSILON)
     return ClassLabel(7, label, triple, detail, {"seven_j": (j, 7)},
-                      {"seven_j": _is_zero(j, p, 7)})
+                      {"seven_j": zero})
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +354,8 @@ def classify8(p: AltTensor) -> ClassLabel:
     if support <= 7:
         i = eight_i(p)
         invariants = {"eight_i": (i, 16)}
-        zero = {"eight_i": _is_zero(i, p, 16)}
+        zero = {"eight_i": invariant_is_zero(i, p.max_abs(), 16,
+                                             TolerancePolicy.ZERO_EPSILON)}
         rotated = slocc_apply(g, p)
         sub_dim = 7 if support == 7 else 6
         keep = {}
@@ -387,8 +383,10 @@ def classify8(p: AltTensor) -> ClassLabel:
     label = TABLE3.get(quad, "Unclassified")
     detail = {"rank_quadruple": quad} if label == "Unclassified" else {}
     i = eight_i(p, cov)
+    zero = invariant_is_zero(i, p.max_abs(), 16,
+                             TolerancePolicy.ZERO_EPSILON)
     return ClassLabel(8, label, quad, detail, {"eight_i": (i, 16)},
-                      {"eight_i": _is_zero(i, p, 16)})
+                      {"eight_i": zero})
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .scalars import TolerancePolicy, quotient, to_complex, zero_threshold
 # six dimensions
 
 
-def quartic_d(p: AltTensor, k=None):
+def quartic_d(p: AltTensor, *, k=None):
     """Quartic relative invariant of a six-dimensional three-form: one sixth
     of the trace of the squared 6x6 covariant K.
 

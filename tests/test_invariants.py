@@ -46,6 +46,9 @@ def test_quartic_routes_agree():
         b = quartic_d_block(p)
         c = quartic_d_pairing(p)
         assert a == b == c
+    # a call that still passes a route is refused: k is keyword-only
+    with pytest.raises(TypeError):
+        quartic_d(GHZ, "pairing")
 
 
 def test_quartic_homogeneity_and_covariance():

@@ -6,14 +6,12 @@ attribute, an import or an identifier string such as a table entry), and
 every method of such a class that no code reads as an attribute.  Dunder
 methods are exempt: the language calls them.
 
-    python3 tools/unreferenced.py            # this repository
-    python3 tools/unreferenced.py --root DIR
+    python3 tools/unreferenced.py
 
 Prints one ``path:line: name`` per finding and exits 1 when there is any.
 Standard library only.
 """
 
-import argparse
 import ast
 import os
 import sys
@@ -70,14 +68,11 @@ def unreferenced(root):
     return out
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", default=os.path.join(os.path.dirname(__file__), ".."),
-                    help="repository root (default: this one)")
-    args = ap.parse_args(argv)
-    found = unreferenced(args.root)
+def main():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    found = unreferenced(root)
     for path, line, name in found:
-        print(f"{os.path.relpath(path, args.root)}:{line}: {name} is never referenced")
+        print(f"{os.path.relpath(path, root)}:{line}: {name} is never referenced")
     return 1 if found else 0
 
 
